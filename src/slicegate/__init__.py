@@ -10,9 +10,8 @@ from .obstruct import (AppliedRule, InconsistentBoundsError, ObstructionReport,
 from .plfunc import (CobordismCheck, PLFunction, cable_sandwich, cobordism_inequality,
                      euler_number_range, g4_lower_bound, oss_gamma4_lower_bound,
                      two_q_corollary_check, two_q_upsilon_interval, upsilon_little)
-from .seifert import (ArfBudgetError, NotASeifertMatrixError, SeifertMatrix, alexander,
-                      arf, arf_murasugi, determinant, genus_bounds_from_matrix,
-                      levine_tristram, signature)
+from .seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf, arf_murasugi,
+                      determinant, genus_bounds_from_matrix, levine_tristram, signature)
 from .whitehead import (CompanionInvariants, HalfTwistRegimeError, MissingInvariantError,
                         WhiteheadParams, alexander_formula, arf_whitehead, cable_target,
                         epsilon_whitehead, gamma4_whitehead, pattern_seifert_matrix,

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import knotdb, plfunc
@@ -29,9 +28,16 @@ STORE_ENV = "SLICEGATE_STORE"
 
 
 def _load_store(args) -> KnotStore:
+    """The named store file, or the seed knots when none is named.
+
+    A named file that does not exist is an input error, except for
+    `import`, which creates it.
+    """
     path = args.store or os.environ.get(STORE_ENV)
     if path and os.path.exists(path):
         return knotdb.load(path)
+    if path and args.fn is not _cmd_import:
+        raise ValueError(f"store file {path} does not exist")
     return knotdb.seed_table()
 
 
@@ -203,18 +209,9 @@ def _cmd_whitehead(args, store) -> int:
     return _exit_for(args, _verdict_obstructed(report))
 
 
-def _obstruct_one(store, name) -> ObstructionReport:
-    return aggregate(store.lookup(name))
-
-
 def _cmd_obstruct(args, store) -> int:
     if args.all:
-        names = store.names()
-        if args.parallel:
-            with ThreadPoolExecutor() as pool:
-                reports = list(pool.map(lambda n: _obstruct_one(store, n), names))
-        else:
-            reports = [_obstruct_one(store, n) for n in names]
+        reports = [aggregate(store.lookup(n)) for n in store.names()]
         payload = {"reports": [r.to_json() for r in reports]}
         lines = []
         for r in reports:
@@ -388,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?")
     p.add_argument("--matrix-file")
     p.add_argument("--all", action="store_true", help="report every record in the store")
-    p.add_argument("--parallel", action="store_true",
-                   help="data-parallel batch (output stays name-sorted)")
     p.set_defaults(fn=_cmd_obstruct)
 
     p = sub.add_parser("cable-bounds", parents=[common],

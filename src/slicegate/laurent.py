@@ -201,10 +201,7 @@ class IntPoly:
         return self._coeffs[-1]
 
     def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        return _poly_eval(self._coeffs, x)
 
     def __eq__(self, other):
         if isinstance(other, IntPoly):
@@ -245,25 +242,6 @@ class Unit(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # module-level operations
-
-
-def add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def involute(p: LaurentPoly) -> LaurentPoly:
-    return p.involute()
-
-
-def evaluate_int(p: LaurentPoly, x: int) -> Fraction:
-    """Exact rational value of p at a nonzero integer (integral when x = +/-1)."""
-    if x == 0:
-        raise ValueError("cannot evaluate a Laurent polynomial at 0")
-    return p.evaluate(x)
 
 
 def normalize(p: LaurentPoly) -> tuple[IntPoly, Unit]:
@@ -360,6 +338,33 @@ def _expand_points(points):
     return out
 
 
+def _lagrange_basis(pts):
+    """Integer-scaled Lagrange basis on distinct integer points.
+
+    Returns (scale, basis) with basis[i] = scale * L_i as integer
+    coefficient lists, where L_i is 1 at pts[i] and 0 at the other points.
+    """
+    denoms = []
+    numers = []
+    for i, xi in enumerate(pts):
+        d = 1
+        for j, xj in enumerate(pts):
+            if j != i:
+                d *= xi - xj
+        denoms.append(d)
+        numers.append(_expand_points([x for j, x in enumerate(pts) if j != i]))
+    scale = reduce(math.lcm, (abs(d) for d in denoms))
+    return scale, [[c * (scale // d) for c in numer] for d, numer in zip(denoms, numers)]
+
+
+def _interpolate(scale, basis, vals):
+    """Coefficients of the interpolant taking vals on the basis points, or None if not integral."""
+    scaled = [sum(v * b[c] for v, b in zip(vals, basis)) for c in range(len(basis))]
+    if any(c % scale for c in scaled):
+        return None
+    return [c // scale for c in scaled]
+
+
 def _kronecker_find_factor(cs, m):
     """Search for a degree-m integer divisor of cs; returns its coefficients or None.
 
@@ -376,22 +381,7 @@ def _kronecker_find_factor(cs, m):
     scored = sorted(pool, key=lambda x: (len(_divisors(_poly_eval(cs, x))), abs(x)))
     pts = sorted(scored[: m + 1])
     vals = [_poly_eval(cs, x) for x in pts]
-
-    # integer-scaled Lagrange basis: D * L_i has integer coefficients
-    denoms = []
-    numers = []
-    for i, xi in enumerate(pts):
-        d = 1
-        for j, xj in enumerate(pts):
-            if j != i:
-                d *= xi - xj
-        denoms.append(d)
-        numers.append(_expand_points([x for j, x in enumerate(pts) if j != i]))
-    scale = reduce(math.lcm, (abs(d) for d in denoms))
-    basis = []
-    for d, numer in zip(denoms, numers):
-        f = scale // d
-        basis.append([c * f for c in numer])
+    scale, basis = _lagrange_basis(pts)
 
     mods = [[(j, abs(pts[i] - pts[j])) for j in range(i) if abs(pts[i] - pts[j]) > 1]
             for i in range(m + 1)]
@@ -412,12 +402,8 @@ def _kronecker_find_factor(cs, m):
 
     def search(i):
         if i == m + 1:
-            g_scaled = [sum(chosen[k] * basis[k][c] for k in range(m + 1))
-                        for c in range(m + 1)]
-            if any(v % scale for v in g_scaled):
-                return None
-            g = [v // scale for v in g_scaled]
-            if g[-1] == 0 or lead_cs % g[-1]:
+            g = _interpolate(scale, basis, chosen)
+            if g is None or g[-1] == 0 or lead_cs % g[-1]:
                 return None
             if _poly_div_exact(cs, g) is None:
                 return None

@@ -88,7 +88,7 @@ def _facts_from_record(record: "KnotRecord", oss_convention: str) -> _Facts:
     if v is not None:
         if sigma is None:
             sigma = _seifert.signature(v)
-        if arf_val is None and v.n <= _seifert.ARF_SIZE_BUDGET:
+        if arf_val is None:
             arf_val = _seifert.arf(v)
         if delta is None:
             delta = _seifert.alexander(v)

@@ -101,11 +101,6 @@ class PLFunction:
         return cls(obj["breakpoints"])
 
 
-def evaluate(f: PLFunction, s) -> Fraction:
-    """Exact value of f at s in [0, end]."""
-    return f(s)
-
-
 def upsilon_little(f: PLFunction) -> Fraction:
     """The value at s = 1 (the lower-case upsilon of an Upsilon function)."""
     return f(1)

@@ -3,7 +3,7 @@ polynomial, determinant, Levine-Tristram signatures, and genus bounds.
 
 Everything except the Levine-Tristram eigenvalue counts is exact: the
 signature uses congruence diagonalization over the rationals, the Arf
-invariant uses the democratic Gauss-sum definition over GF(2), and the
+invariant follows from the determinant by Levine's criterion, and the
 Alexander polynomial is recovered by integer determinant interpolation.
 """
 
@@ -17,18 +17,14 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import GenusBounds, Interval
-from .laurent import InvalidAlexanderError, LaurentPoly, evaluate_int, normalize
+from .laurent import (InvalidAlexanderError, LaurentPoly, _interpolate, _lagrange_basis,
+                      _poly_div_exact, normalize)
 
-ARF_SIZE_BUDGET = 24
 LT_EIGEN_TOL = 1e-9
 
 
 class NotASeifertMatrixError(ValueError):
     """The given matrix fails the Seifert-form test (V - V^T unimodular, even size)."""
-
-
-class ArfBudgetError(ValueError):
-    """Matrix too large for the 2^n brute-force Arf computation."""
 
 
 class SeifertMatrix:
@@ -174,13 +170,11 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.one()
     rows = v.entries
-    xs = _interp_points(n + 1)
-    dets = []
-    for x in xs:
-        m = [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)]
-        dets.append(_det_int(m))
-    cs = _interpolate_integer_poly(xs, dets, n)
-    assert cs == cs[::-1], "det(V - tV^T) must be palindromic on [0, n]"
+    xs = [0] + [sign * k for k in range(1, n // 2 + 1) for sign in (1, -1)]
+    dets = [_det_int([[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)])
+            for x in xs]
+    cs = _interpolate(*_lagrange_basis(xs), dets)
+    assert cs is not None and cs == cs[::-1], "det(V - tV^T) must be palindromic on [0, n]"
     half = n // 2
     poly = LaurentPoly({e - half: c for e, c in enumerate(cs)})
     at_one = int(poly.evaluate(1))
@@ -188,78 +182,21 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
     return poly if at_one == 1 else -poly
 
 
-def _interp_points(count):
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.extend((k, -k))
-        k += 1
-    return pts[:count]
-
-
-def _interpolate_integer_poly(xs, ys, degree):
-    """Coefficients (length degree+1) of the unique interpolant; must be integral."""
-    coeffs = [Fraction(0)] * (degree + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        numer = [1]
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            numer = [0] + numer
-            for k in range(len(numer) - 1):
-                numer[k] -= xj * numer[k + 1]
-            denom *= xi - xj
-        w = Fraction(yi, denom)
-        for k, c in enumerate(numer):
-            coeffs[k] += w * c
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
-
-
 def arf(v: SeifertMatrix) -> int:
     """Arf invariant of the quadratic form q(x) = x V x^T mod 2.
 
-    Democratic definition: S = sum over all x in GF(2)^n of (-1)^q(x)
-    equals +/- 2^(n/2) (the form is nondegenerate because V - V^T is
-    unimodular); Arf is 0 exactly when S > 0.  Enumeration is Gray-coded,
-    so the budget is 2^n steps of O(1) bit work.
+    Levine's criterion: Arf is 0 exactly when det(V + V^T) = Delta(-1) is
+    +/-1 mod 8, so one exact determinant decides it.
     """
-    n = v.n
-    if n > ARF_SIZE_BUDGET:
-        raise ArfBudgetError(f"n = {n} exceeds the brute-force budget {ARF_SIZE_BUDGET}")
-    if n == 0:
-        return 0
-    rows = v.entries
-    diag = [rows[i][i] & 1 for i in range(n)]
-    sym_mask = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if j != i and (rows[i][j] + rows[j][i]) & 1:
-                mask |= 1 << j
-        sym_mask.append(mask)
-    total = 1  # x = 0 contributes (-1)^0
-    q = 0
-    x = 0
-    for k in range(1, 1 << n):
-        i = (k & -k).bit_length() - 1
-        q ^= diag[i] ^ ((x & sym_mask[i]).bit_count() & 1)
-        x ^= 1 << i
-        total += 1 - 2 * q
-    assert abs(total) == 1 << (n // 2), "quadratic form unexpectedly degenerate"
-    return 0 if total > 0 else 1
+    return 0 if _det_int(v.symmetrized()) % 8 in (1, 7) else 1
 
 
 def arf_murasugi(delta: LaurentPoly) -> int:
     """Arf invariant from the Alexander polynomial: 0 iff Delta(-1) = +/-1 mod 8."""
-    at_one = evaluate_int(delta, 1)
+    at_one = delta.evaluate(1)
     if at_one != 1 and at_one != -1:
         raise InvalidAlexanderError(f"Delta(1) = {at_one}, expected +/-1")
-    residue = int(evaluate_int(delta, -1)) % 8
+    residue = int(delta.evaluate(-1)) % 8
     return 0 if residue in (1, 7) else 1
 
 
@@ -272,36 +209,8 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _poly_div_monicish(poly, list(_cyclotomic(d)))
+            poly = _poly_div_exact(poly, _cyclotomic(d))
     return tuple(poly)
-
-
-def _poly_div_monicish(num, den):
-    """Exact division of integer polynomials (denominator with leading 1)."""
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * (len(num) - dd)
-    for k in range(len(q) - 1, -1, -1):
-        f = num[k + dd] // den[-1]
-        q[k] = f
-        for j, c in enumerate(den):
-            num[k + j] -= f * c
-    assert not any(num)
-    return q
-
-
-def _divides(den, num) -> bool:
-    """Whether den divides num over Z (den has leading coefficient 1)."""
-    num = list(num)
-    dd = len(den) - 1
-    if len(num) - 1 < dd:
-        return False
-    for k in range(len(num) - 1 - dd, -1, -1):
-        f = num[k + dd]
-        if f:
-            for j, c in enumerate(den):
-                num[k + j] -= f * c
-    return not any(num)
 
 
 def _omega_fraction(omega) -> Fraction:
@@ -336,7 +245,7 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
         return 0
     order = w.denominator
     delta_poly, _ = normalize(alexander(v))
-    if _divides(list(_cyclotomic(order)), list(delta_poly.coeffs)):
+    if _poly_div_exact(delta_poly.coeffs, _cyclotomic(order)) is not None:
         return None
     z = cmath.exp(2j * math.pi * float(w))
     rows = v.entries

@@ -1,4 +1,4 @@
-"""Shared helpers: random Seifert-matrix generators and the float signature oracle."""
+"""Shared helpers: random Seifert-matrix generators and the float signature and Arf oracles."""
 
 from __future__ import annotations
 
@@ -63,3 +63,33 @@ def float_signature(entries, tol=1e-9):
                    dtype=float)
     eigs = np.linalg.eigvalsh(sym)
     return int((eigs > tol).sum()) - int((eigs < -tol).sum())
+
+
+def arf_gf2(entries):
+    """Independent oracle: Arf of q(x) = x V x^T mod 2 by the democratic Gauss sum.
+
+    S = sum over all x in GF(2)^n of (-1)^q(x) equals +/- 2^(n/2) (the form
+    is nondegenerate because V - V^T is unimodular); Arf is 0 exactly when
+    S > 0.  Enumeration is Gray-coded: 2^n steps of O(1) bit work.
+    """
+    n = len(entries)
+    if n == 0:
+        return 0
+    diag = [entries[i][i] & 1 for i in range(n)]
+    sym_mask = []
+    for i in range(n):
+        mask = 0
+        for j in range(n):
+            if j != i and (entries[i][j] + entries[j][i]) & 1:
+                mask |= 1 << j
+        sym_mask.append(mask)
+    total = 1  # x = 0 contributes (-1)^0
+    q = 0
+    x = 0
+    for k in range(1, 1 << n):
+        i = (k & -k).bit_length() - 1
+        q ^= diag[i] ^ ((x & sym_mask[i]).bit_count() & 1)
+        x ^= 1 << i
+        total += 1 - 2 * q
+    assert abs(total) == 1 << (n // 2), "quadratic form unexpectedly degenerate"
+    return 0 if total > 0 else 1

@@ -69,14 +69,16 @@ def test_obstruct_unknown_knot_is_input_error(capsys):
     assert "19_55" in err
 
 
-def test_obstruct_batch_parallel_matches_sequential(capsys):
-    code, seq, _ = run(capsys, "obstruct", "--all", "--json")
+def test_obstruct_batch_matches_single_reports(capsys):
+    code, out, _ = run(capsys, "obstruct", "--all", "--json")
     assert code == 0
-    code, par, _ = run(capsys, "obstruct", "--all", "--parallel", "--json")
-    assert code == 0
-    assert seq == par
-    names = [r["name"] for r in json.loads(seq)["reports"]]
+    reports = json.loads(out)["reports"]
+    names = [r["name"] for r in reports]
     assert names == sorted(names)
+    for report in reports:
+        code, single, _ = run(capsys, "obstruct", report["name"], "--json")
+        assert code == 0
+        assert json.loads(single) == report
 
 
 def test_whitehead_odd_twist_report(capsys):
@@ -207,6 +209,16 @@ def test_store_env_variable(tmp_path, capsys, monkeypatch):
     assert code == 0 and store_path.exists()
     code, out, _ = run(capsys, "show", "env_knot")
     assert code == 0 and "env_knot" in out
+
+
+def test_missing_store_file_is_input_error(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "obstruct", "--all", "--store", str(missing))
+    assert code == 2
+    assert out == "" and str(missing) in err
+    monkeypatch.setenv("SLICEGATE_STORE", str(missing))
+    code, _, err = run(capsys, "show", "3_1")
+    assert code == 2 and str(missing) in err
 
 
 def test_exact_rational_output(capsys):

@@ -6,26 +6,25 @@ from fractions import Fraction
 import pytest
 
 from slicegate.plfunc import (CobordismCheck, PLFunction, cable_sandwich,
-                              cobordism_inequality, euler_number_range, evaluate,
-                              g4_lower_bound, oss_gamma4_lower_bound,
-                              two_q_corollary_check, two_q_upsilon_interval,
-                              upsilon_little)
+                              cobordism_inequality, euler_number_range, g4_lower_bound,
+                              oss_gamma4_lower_bound, two_q_corollary_check,
+                              two_q_upsilon_interval, upsilon_little)
 
 TENT_DOWN = PLFunction([(0, 0), (1, -1), (2, 0)])
 TENT_UP = PLFunction([(0, 0), (1, 1), (2, 0)])
 
 
 def test_evaluate():
-    assert evaluate(PLFunction.zero(), 1) == 0
-    assert evaluate(TENT_DOWN, Fraction(1, 2)) == Fraction(-1, 2)
-    assert evaluate(TENT_DOWN, 1) == -1
+    assert PLFunction.zero()(1) == 0
+    assert TENT_DOWN(Fraction(1, 2)) == Fraction(-1, 2)
+    assert TENT_DOWN(1) == -1
 
 
 def test_evaluate_domain_checked():
     with pytest.raises(ValueError):
-        evaluate(TENT_DOWN, Fraction(5, 2))
+        TENT_DOWN(Fraction(5, 2))
     with pytest.raises(ValueError):
-        evaluate(TENT_DOWN, -1)
+        TENT_DOWN(-1)
 
 
 def test_construction_canonicalizes_collinear_points():

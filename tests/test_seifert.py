@@ -1,16 +1,18 @@
 """Seifert matrix invariants: signature, Alexander, Arf, Levine-Tristram, bounds."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import float_signature, make_invalid_seifert, make_valid_seifert
+from conftest import arf_gf2, float_signature, make_invalid_seifert, make_valid_seifert
 
 from slicegate.bounds import Interval
-from slicegate.laurent import InvalidAlexanderError, LaurentPoly, evaluate_int
-from slicegate.seifert import (ArfBudgetError, NotASeifertMatrixError, SeifertMatrix,
-                               alexander, arf, arf_murasugi, determinant,
-                               genus_bounds_from_matrix, levine_tristram, signature)
+from slicegate.cli import main
+from slicegate.laurent import InvalidAlexanderError, LaurentPoly
+from slicegate.seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf,
+                               arf_murasugi, determinant, genus_bounds_from_matrix,
+                               levine_tristram, signature)
 
 V_TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 V_FIG8 = SeifertMatrix([[1, 1], [0, -1]])
@@ -107,7 +109,7 @@ def test_signature_congruence_invariance():
                for i in range(n)]
         w = SeifertMatrix(pvp)
         assert signature(w) == signature(v)
-        assert arf(w) == arf(v)
+        assert arf(w) == arf(v) == arf_gf2(pvp)
 
 
 def test_alexander_examples():
@@ -141,7 +143,7 @@ def test_alexander_symmetry_and_unimodularity():
         v = SeifertMatrix(make_valid_seifert(rng, n))
         delta = alexander(v)
         assert delta.involute() == delta
-        assert evaluate_int(delta, 1) == 1
+        assert delta.evaluate(1) == 1
 
 
 def test_determinant():
@@ -154,31 +156,45 @@ def test_determinant_equals_alexander_at_minus_one():
     rng = random.Random(8)
     for _ in range(40):
         v = SeifertMatrix(make_valid_seifert(rng, rng.choice([2, 4])))
-        assert determinant(v) == abs(int(evaluate_int(alexander(v), -1)))
+        assert determinant(v) == abs(int(alexander(v).evaluate(-1)))
 
 
 def test_arf_examples():
-    assert arf(V_FIG8) == 1
-    assert arf(UNKNOT) == 0
+    assert arf(V_FIG8) == arf_gf2(V_FIG8.entries) == 1
+    assert arf(UNKNOT) == arf_gf2(UNKNOT.entries) == 0
     for b in range(-4, 5):
-        assert arf(SeifertMatrix([[-1, 1], [0, b]])) == b % 2
+        v = SeifertMatrix([[-1, 1], [0, b]])
+        assert arf(v) == arf_gf2(v.entries) == b % 2
 
 
-def test_arf_budget():
+def test_arf_large_matrices(tmp_path, capsys):
+    # beyond the reach of the 2^n brute force: Levine's criterion against Murasugi
     n = 26
-    entries = [[0] * n for _ in range(n)]
+    hyperbolic = [[0] * n for _ in range(n)]
     for k in range(0, n, 2):
-        entries[k][k + 1] = 1
-    with pytest.raises(ArfBudgetError):
-        arf(SeifertMatrix(entries))
+        hyperbolic[k][k + 1] = 1
+    v = SeifertMatrix(hyperbolic)
+    assert arf(v) == arf_murasugi(alexander(v)) == 0
+    rng = random.Random(26)
+    for n in (26, 32, 40):
+        entries = make_valid_seifert(rng, n)
+        v = SeifertMatrix(entries)
+        assert arf(v) == arf_murasugi(alexander(v))
+        if n == 26:
+            path = tmp_path / "m26.json"
+            path.write_text(json.dumps(v.to_json()), encoding="utf-8")
+            code = main(["invariants", "--matrix-file", str(path), "--json"])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["arf"] == arf(v)
 
 
 def test_arf_matches_murasugi_shortcut():
     rng = random.Random(4)
     for _ in range(60):
         n = rng.choice([2, 4, 6, 8, 10])
-        v = SeifertMatrix(make_valid_seifert(rng, n))
-        assert arf(v) == arf_murasugi(alexander(v))
+        entries = make_valid_seifert(rng, n)
+        v = SeifertMatrix(entries)
+        assert arf(v) == arf_murasugi(alexander(v)) == arf_gf2(entries)
 
 
 def test_arf_murasugi_examples():
