@@ -2,8 +2,8 @@
 aggregation, cable/cobordism arithmetic, and table import.
 
 Exit codes: 0 success, 1 obstruction found (only with --fail-on-obstruction),
-2 input error.  All numeric output is exact (rationals as p/q) except the
-Levine-Tristram signatures, which are labeled approximate.
+2 input error, including every malformed number, matrix or PL-function file.
+All numeric output is exact, rationals as p/q.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _cmd_invariants(args, store) -> int:
     if gb is not None:
         lines += _bounds_lines(gb)
     for w, s in lt:
-        lines.append(f"levine-tristram @ {w}: {s} (approximate eigenvalue count)")
+        lines.append(f"levine-tristram @ {w}: {s}")
     _emit(args, payload, lines)
     return 0
 
@@ -263,8 +263,8 @@ def _cmd_cable_bounds(args, store) -> int:
 
 def _cmd_cobordism(args, store) -> int:
     check = CobordismCheck(
-        upsilon_start=Fraction(args.from_upsilon),
-        upsilon_end=Fraction(args.to_upsilon),
+        upsilon_start=args.from_upsilon,
+        upsilon_end=args.to_upsilon,
         euler=args.euler,
         betti=args.betti,
     )
@@ -288,7 +288,7 @@ def _cmd_cobordism(args, store) -> int:
 
 
 def _cmd_euler_range(args, store) -> int:
-    lo, hi = plfunc.euler_number_range(Fraction(args.upsilon), args.q)
+    lo, hi = plfunc.euler_number_range(args.upsilon, args.q)
     payload = {"upsilon": args.upsilon, "q": args.q, "euler_range": [lo, hi]}
     lines = [f"normal Euler numbers e(F) compatible with upsilon = {args.upsilon}, "
              f"q = {args.q}: [{lo}, {hi}]"]

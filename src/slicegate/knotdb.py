@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 
 from . import seifert as _seifert
@@ -358,14 +359,24 @@ def ingest_csv(store: KnotStore, path, column_mapping: dict[str, str]):
 
 
 def save(store: KnotStore, path) -> None:
-    """Write the store as one JSON document (deterministic byte output)."""
+    """Write the store as one JSON document (deterministic byte output).
+
+    The document goes to a temporary file beside the target, which then
+    replaces the target in one step, so a failed write leaves the old store.
+    """
     doc = {
         "format_version": FORMAT_VERSION,
         "records": [r.to_json() for r in store.records()],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load(path) -> KnotStore:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable
 
 from . import seifert as _seifert
 from .bounds import GenusBounds, Interval
-from .laurent import FoxMilnorResult, LaurentPoly, fox_milnor
+from .laurent import FoxMilnorResult, LaurentPoly, fox_milnor, normalize
 from .plfunc import PLFunction, g4_lower_bound, oss_gamma4_lower_bound, upsilon_little
 
 if TYPE_CHECKING:
@@ -383,11 +383,12 @@ def aggregate(record: "KnotRecord", *, oss_convention: str = "minus",
         smooth_triggers.append(AppliedRule(
             "fox-milnor", _anchor("fox-milnor"),
             f"Fox-Milnor fails ({fm.reason}): not topologically slice"))
-    elif facts.delta is not None and facts.delta == LaurentPoly.one():
+    elif facts.delta is not None and normalize(facts.delta)[0].coeffs == (1,):
+        # Delta is a unit +/-t^k, the trivial Alexander polynomial up to units
         topological = "yes"
         applied.append(AppliedRule(
             "freedman", "Freedman: trivial Alexander polynomial => topologically slice",
-            "Delta = 1, so the knot is topologically slice"))
+            f"Delta = {facts.delta}, so the knot is topologically slice"))
 
     if facts.sigma:
         smooth_triggers.append(AppliedRule(

@@ -14,18 +14,18 @@ from fractions import Fraction
 
 
 def _frac(x) -> Fraction:
-    """Coerce ints, Fractions, 'p/q' strings and [num, den] pairs to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise TypeError("bool is not a rational")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (tuple, list)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+    """Coerce ints, Fractions, 'p/q' strings and [num, den] pairs to Fraction.
+
+    Anything else, including a zero denominator, is a ValueError.
+    """
+    try:
+        if isinstance(x, (tuple, list)) and len(x) == 2:
+            return Fraction(int(x[0]), int(x[1]))
+        if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
+            return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"cannot interpret {x!r} as a rational")
 
 
 def _json_rat(x: Fraction):
@@ -98,7 +98,10 @@ class PLFunction:
 
     @classmethod
     def from_json(cls, obj) -> "PLFunction":
-        return cls(obj["breakpoints"])
+        try:
+            return cls(obj["breakpoints"])
+        except (KeyError, TypeError):
+            raise ValueError('a PL function is {"breakpoints": [[s, v], ...]}') from None
 
 
 def upsilon_little(f: PLFunction) -> Fraction:

@@ -1,26 +1,24 @@
 """Invariants computed from Seifert matrices: signature, Arf, Alexander
 polynomial, determinant, Levine-Tristram signatures, and genus bounds.
 
-Everything except the Levine-Tristram eigenvalue counts is exact: the
-signature uses congruence diagonalization over the rationals, the Arf
-invariant follows from the determinant by Levine's criterion, and the
-Alexander polynomial is recovered by integer determinant interpolation.
+Everything is exact integer arithmetic.  One fraction-free symmetric
+elimination gives the signature of V + V^T and, through an integer real
+form taken on the same arc of the unit circle, every Levine-Tristram
+signature; the Arf invariant follows from the determinant by Levine's
+criterion, and the Alexander polynomial is recovered by integer
+determinant interpolation.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .bounds import GenusBounds, Interval
 from .laurent import (InvalidAlexanderError, LaurentPoly, _interpolate, _lagrange_basis,
-                      _poly_div_exact, normalize)
-
-LT_EIGEN_TOL = 1e-9
+                      _poly_div_exact, _poly_eval, _poly_mul, normalize)
+from .plfunc import _frac
 
 
 class NotASeifertMatrixError(ValueError):
@@ -37,7 +35,10 @@ class SeifertMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        try:
+            rows = tuple(tuple(int(x) for x in row) for row in entries)
+        except TypeError:
+            raise NotASeifertMatrixError("entries must be rows of integers") from None
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise NotASeifertMatrixError("matrix is not square")
@@ -78,12 +79,14 @@ class SeifertMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "SeifertMatrix":
-        if isinstance(obj, dict):
-            entries = obj["entries"]
-            if "n" in obj and int(obj["n"]) != len(entries):
-                raise NotASeifertMatrixError("declared size disagrees with the entry rows")
-            return cls(entries)
-        return cls(obj)
+        if not isinstance(obj, dict):
+            return cls(obj)
+        if "entries" not in obj:
+            raise NotASeifertMatrixError("Seifert matrix document has no 'entries'")
+        v = cls(obj["entries"])
+        if "n" in obj and obj["n"] != v.n:
+            raise NotASeifertMatrixError("declared size disagrees with the entry rows")
+        return v
 
 
 def _det_int(rows) -> int:
@@ -110,48 +113,51 @@ def _det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _signature_sym(a) -> int:
-    """Signature of a symmetric matrix of Fractions via congruence reduction.
+def _signature_int(a) -> int:
+    """Signature of a symmetric integer matrix by fraction-free symmetric elimination.
 
-    Nonzero diagonal entries are used as pivots (Lagrange reduction); when
-    the whole diagonal is zero but some off-diagonal entry a_ij is not, the
-    2x2 block [[0, a],[a, 0]] is hyperbolic and split off with signature
-    contribution 0.
+    Bareiss steps with symmetric (row and column) pivoting keep every entry
+    an integer minor of a matrix congruent to the input, so each division is
+    exact.  The k-th pivot is the leading principal minor d_k of that matrix,
+    and the diagonal of its LDL^T form is d_k / d_(k-1), so every step adds the
+    sign of d_k * d_(k-1).  When the remaining diagonal is all zero but some
+    m_ij is not, the congruence row_i += row_j, col_i += col_j puts 2 m_ij on
+    the diagonal; it acts linearly on the minors, so the invariant survives.
     """
-    a = [row[:] for row in a]
+    m = [list(r) for r in a]
+    n = len(m)
     sig = 0
-    while a:
-        n = len(a)
-        pivot = next((k for k in range(n) if a[k][k] != 0), None)
-        if pivot is not None:
-            if pivot != 0:
-                a[0], a[pivot] = a[pivot], a[0]
-                for row in a:
-                    row[0], row[pivot] = row[pivot], row[0]
-            d = a[0][0]
-            sig += 1 if d > 0 else -1
-            a = [[a[i][j] - a[0][i] * a[0][j] / d for j in range(1, n)]
-                 for i in range(1, n)]
-            continue
-        pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if a[i][j] != 0), None)
-        if pair is None:
-            return sig
-        i, j = pair
-        for k, target in ((i, 0), (j, 1)):
-            if k != target:
-                a[target], a[k] = a[k], a[target]
-                for row in a:
-                    row[target], row[k] = row[k], row[target]
-        d = a[0][1]
-        a = [[a[u][v] - (a[0][u] * a[1][v] + a[1][u] * a[0][v]) / d
-              for v in range(2, n)] for u in range(2, n)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]), None)
+            if pair is None:
+                break  # the rest of the form is zero
+            piv, j = pair
+            for c in range(k, n):
+                m[piv][c] += m[j][c]
+            for r in range(k, n):
+                m[r][piv] += m[r][j]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for row in m:
+                row[k], row[piv] = row[piv], row[k]
+        p = m[k][k]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        rk = m[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            mik = ri[k]
+            for j in range(i, n):
+                ri[j] = m[j][i] = (ri[j] * p - mik * rk[j]) // prev
+        prev = p
     return sig
 
 
 def signature(v: SeifertMatrix) -> int:
     """Signature of V + V^T, computed exactly; always even."""
-    sym = [[Fraction(x) for x in row] for row in v.symmetrized()]
-    return _signature_sym(sym)
+    return _signature_int(v.symmetrized())
 
 
 def determinant(v: SeifertMatrix) -> int:
@@ -214,52 +220,167 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
 
 
 def _omega_fraction(omega) -> Fraction:
-    if isinstance(omega, Fraction):
-        w = omega
-    elif isinstance(omega, str):
-        w = Fraction(omega)
-    elif isinstance(omega, (tuple, list)) and len(omega) == 2:
-        w = Fraction(int(omega[0]), int(omega[1]))
-    elif isinstance(omega, int):
-        w = Fraction(omega)
-    else:
-        raise TypeError("omega must be an exact angle fraction p/q meaning e^(2*pi*i*p/q)")
-    w %= 1
+    """The angle p/q of omega = e^(2*pi*i*p/q), reduced into (0, 1)."""
+    w = _frac(omega) % 1
     if w == 0:
         raise ValueError("omega = 1 is excluded from the Levine-Tristram signature")
     return w
 
 
+def _trace_poly(delta: LaurentPoly) -> list[int]:
+    """E(s) = (1 + s)^m * Delta(e^(i*psi)) with s = tan(psi/2)^2, m = max exponent of Delta.
+
+    For symmetric Delta, t^k + t^-k = 2 Re((1 + iu)^(2k)) / (1 + u^2)^k at
+    t = e^(i*psi), u = tan(psi/2), so E is an integer polynomial whose
+    positive roots are the unit-circle roots of Delta with 0 < psi < pi.  Its
+    top coefficient is Delta(-1), odd for a knot, so its degree is exactly m.
+    """
+    m = delta.max_exp
+    out = [0] * (m + 1)
+    for k in range(m + 1):
+        c = delta.coeffs.get(k, 0) * (2 if k else 1)
+        if not c:
+            continue
+        re_part = [(-1) ** j * math.comb(2 * k, 2 * j) for j in range(k + 1)]
+        for j, r in enumerate(_poly_mul(re_part, [math.comb(m - k, i) for i in range(m - k + 1)])):
+            out[j] += c * r
+    return out
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm sequence p, p', -rem(p, p'), ... of an integer polynomial (ascending).
+
+    Each remainder is scaled by a positive rational to a primitive integer
+    polynomial, which keeps the signs and keeps the coefficients small.
+    """
+    chain = [p]
+    nxt = [k * c for k, c in enumerate(p)][1:]
+    while nxt:
+        chain.append(nxt)
+        r = chain[-2]
+        while len(r) >= len(nxt):
+            f, scale = (r[-1], nxt[-1]) if nxt[-1] > 0 else (-r[-1], -nxt[-1])
+            shift = len(r) - len(nxt)
+            r = [scale * c for c in r]
+            for j, c in enumerate(nxt):
+                r[shift + j] -= f * c
+            r.pop()
+        while r and not r[-1]:
+            r.pop()
+        g = math.gcd(*r)
+        nxt = [-c // g for c in r]
+    return chain
+
+
+def _sign_changes(chain, x: Fraction) -> int:
+    signs = [s for s in (_poly_eval(p, x) for p in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
+def _root_free(chain, lo: Fraction, hi: Fraction) -> bool:
+    """True when chain[0] has no root in the closed interval [lo, hi] (Sturm count)."""
+    return (_poly_eval(chain[0], lo) != 0 and _poly_eval(chain[0], hi) != 0
+            and _sign_changes(chain, lo) == _sign_changes(chain, hi))
+
+
+def _atan_bounds(a: int, b: int, bits: int) -> tuple[int, int]:
+    """(lo, err) with lo <= 2^bits * arctan(a/b) < lo + err, for integers 0 < a <= b.
+
+    Euler's series arctan(x) = sum c_n, c_0 = x/(1+x^2), c_(n+1) = c_n *
+    (2n+2)/(2n+3) * x^2/(1+x^2): for x <= 1 each term is at most half the one
+    before.  Each floored term is short of the exact one by less than 2 units,
+    and the tail after the first zero term is below 4 units.
+    """
+    d = a * a + b * b
+    term = (a * b << bits) // d
+    total = n = 0
+    while term:
+        total += term
+        term = term * (2 * n + 2) * a * a // ((2 * n + 3) * d)
+        n += 1
+    return total, 2 * n + 4
+
+
+def _compare_tan(u: Fraction, w: Fraction) -> int:
+    """Sign of u - tan(pi * w) for rationals u > 0 and 0 < w < 1/2, decided exactly.
+
+    Compares q * arctan(u) with p * pi = 4p * arctan(1) (w = p/q) on integer
+    enclosures, doubling the precision until they separate.  They do: by
+    Niven's theorem arctan(u) / pi is irrational unless u = 1, which is
+    settled first.  For u > 1, arctan(u) = pi/2 - arctan(1/u).
+    """
+    a, b = u.numerator, u.denominator
+    if a > b:
+        return -_compare_tan(1 / u, Fraction(1, 2) - w)
+    if a == b:
+        return (w < Fraction(1, 4)) - (w > Fraction(1, 4))
+    p, q = w.numerator, w.denominator
+    bits = 64
+    while True:
+        x, ex = _atan_bounds(a, b, bits)
+        y, ey = _atan_bounds(1, 1, bits)
+        if q * x > 4 * p * (y + ey):
+            return 1
+        if q * (x + ex) < 4 * p * y:
+            return -1
+        bits *= 2
+
+
+def _arc_point(delta: LaurentPoly, w: Fraction) -> Fraction:
+    """A rational u' with no unit-circle root of Delta between its angle and tan(pi * w).
+
+    Bisects [0, q], which holds tan(pi * p/q) < cot(pi / 2q) < q, keeping the
+    target inside by exact comparison, until a Sturm count certifies that
+    the trace polynomial has no root on the interval, mapped to s = u^2.  It
+    ends because Delta does not vanish at omega.
+    """
+    chain = _sturm_chain(_trace_poly(delta))
+    lo, hi = Fraction(0), Fraction(w.denominator)
+    while not _root_free(chain, lo * lo, hi * hi):
+        mid = (lo + hi) / 2
+        side = _compare_tan(mid, w)
+        if side == 0:
+            return mid
+        if side < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def levine_tristram(v: SeifertMatrix, omega) -> int | None:
-    """Levine-Tristram signature at omega = e^(2*pi*i*a/b), or None when singular.
+    """Levine-Tristram signature at omega = e^(2*pi*i*p/q), or None when singular.
 
     Singularity of the Hermitian matrix (1-w)V + (1-conj(w))V^T happens
-    exactly when the Alexander polynomial vanishes at w, which is decided
-    exactly through divisibility by the cyclotomic polynomial of the order
-    of w.  The signature itself is a 64-bit eigenvalue count (tolerance
-    1e-9), run only after non-singularity is certified.
+    exactly when the Alexander polynomial vanishes at w, which is decided by
+    divisibility by the cyclotomic polynomial of the order of w.  Otherwise,
+    for 0 < p/q < 1/2 the matrix is sin(2*pi*p/q) * (uS - iA) with S = V + V^T,
+    A = V - V^T, u = tan(pi*p/q); its signature is constant on the arc
+    between roots of Delta, so a rational u' = a/b on the same arc gives it
+    as half the signature of the integer form [[aS, bA], [-bA, aS]].
+    Conjugate angles have equal signatures, and p/q = 1/2 is the signature.
     """
     w = _omega_fraction(omega)
+    if w > Fraction(1, 2):
+        w = 1 - w
+    if w == Fraction(1, 2):  # never singular: Delta(-1) = +/-det(V + V^T) is odd
+        return signature(v)
     n = v.n
     if n == 0:
         return 0
-    order = w.denominator
-    delta_poly, _ = normalize(alexander(v))
-    if _poly_div_exact(delta_poly.coeffs, _cyclotomic(order)) is not None:
+    delta = alexander(v)
+    delta_poly, _ = normalize(delta)
+    # Phi_q has degree phi(q) >= sqrt(q/2), so it cannot divide Delta when q > 2 deg^2
+    if (w.denominator <= 2 * delta_poly.degree ** 2
+            and _poly_div_exact(delta_poly.coeffs, _cyclotomic(w.denominator)) is not None):
         return None
-    z = cmath.exp(2j * math.pi * float(w))
+    u = _arc_point(delta, w)
+    a, b = u.numerator, u.denominator
     rows = v.entries
-    h = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            h[i, j] = (1 - z) * rows[i][j] + (1 - z.conjugate()) * rows[j][i]
-    eigs = np.linalg.eigvalsh(h)
-    pos = int((eigs > LT_EIGEN_TOL).sum())
-    neg = int((eigs < -LT_EIGEN_TOL).sum())
-    if pos + neg != n:
-        raise ArithmeticError(
-            "eigenvalue below tolerance despite exact non-singularity certificate")
-    return pos - neg
+    s = [[a * x for x in row] for row in v.symmetrized()]
+    t = [[b * (rows[i][j] - rows[j][i]) for j in range(n)] for i in range(n)]
+    form = [s[i] + t[i] for i in range(n)] + [[-x for x in t[i]] + s[i] for i in range(n)]
+    return _signature_int(form) // 2
 
 
 def genus_bounds_from_matrix(v: SeifertMatrix) -> GenusBounds:

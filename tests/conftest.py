@@ -1,6 +1,10 @@
-"""Shared helpers: random Seifert-matrix generators and the float signature and Arf oracles."""
+"""Shared helpers: random Seifert-matrix generators, the float signature and
+Levine-Tristram oracles, and the GF(2) Arf oracle."""
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -62,6 +66,24 @@ def float_signature(entries, tol=1e-9):
     sym = np.array([[entries[i][j] + entries[j][i] for j in range(n)] for i in range(n)],
                    dtype=float)
     eigs = np.linalg.eigvalsh(sym)
+    return int((eigs > tol).sum()) - int((eigs < -tol).sum())
+
+
+def float_levine_tristram(entries, omega, tol=1e-9):
+    """Independent oracle: eigenvalue sign count of (1-w)V + (1-conj(w))V^T in floating point.
+
+    omega is the angle fraction of w = e^(2*pi*i*omega); None when an
+    eigenvalue is within tol of zero.
+    """
+    n = len(entries)
+    if n == 0:
+        return 0
+    z = cmath.exp(2j * math.pi * float(omega))
+    h = np.array([[(1 - z) * entries[i][j] + (1 - z.conjugate()) * entries[j][i]
+                   for j in range(n)] for i in range(n)], dtype=complex)
+    eigs = np.linalg.eigvalsh(h)
+    if (abs(eigs) <= tol).any():
+        return None
     return int((eigs > tol).sum()) - int((eigs < -tol).sum())
 
 

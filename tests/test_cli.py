@@ -1,10 +1,17 @@
 """The command-line surface: output formats, exit codes, store handling."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
 from jsonschema import validate
 
+import slicegate
 from slicegate.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(slicegate.__file__)))
 
 INTERVAL_SCHEMA = {
     "type": ["array", "null"],
@@ -45,6 +52,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_python(*args):
+    """A fresh interpreter on this checkout's sources, for what in-process runs hide."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("SLICEGATE_STORE", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
 
 
 def test_obstruct_json_figure_eight(capsys):
@@ -227,3 +242,39 @@ def test_exact_rational_output(capsys):
                        "--to-upsilon=-1/2", "--euler", "-2")
     assert code == 0
     assert "1/2" in out and "." not in out.replace("...", "")
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["invariants", "4_1", "--omega", "1/0"], None),
+    (["cobordism", "--from-upsilon", "1/0", "--to-upsilon", "0", "--euler", "0"], None),
+    (["euler-range", "--upsilon", "1/0", "--q", "1"], None),
+    (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-file", "{file}"],
+     {"breakpoints": [[0, 0], [[2, 0], 0]]}),
+    (["invariants", "--matrix-file", "{file}"], {"n": 2}),
+    (["invariants", "--matrix-file", "{file}"], {"entries": 5}),
+], ids=["omega-zero-denominator", "cobordism-zero-denominator",
+        "euler-range-zero-denominator", "upsilon-file-zero-denominator",
+        "matrix-file-without-entries", "matrix-file-entries-not-rows"])
+def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document):
+    path = tmp_path / "input.json"
+    if document is not None:
+        path.write_text(json.dumps(document), encoding="utf-8")
+    proc = run_python("-m", "slicegate.cli", *[str(path) if a == "{file}" else a for a in argv])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_runtime_needs_no_numpy():
+    script = """if True:
+        import sys
+        import slicegate
+        assert "numpy" not in sys.modules, "import slicegate pulled in numpy"
+        sys.modules["numpy"] = None  # any later import of numpy now fails
+        from slicegate.cli import main
+        assert main(["invariants", "4_1", "--omega", "1/4", "--json"]) == 0
+        assert main(["obstruct", "--all"]) == 0
+    """
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr

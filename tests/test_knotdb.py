@@ -1,6 +1,7 @@
 """Record storage: seeds, CSV ingestion, JSON persistence, the double pipeline."""
 
 import json
+import os
 
 import pytest
 
@@ -120,6 +121,22 @@ def test_save_load_roundtrip(tmp_path):
     path2 = tmp_path / "store2.json"
     save(again, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_save_failure_keeps_the_old_store(tmp_path, monkeypatch):
+    path = tmp_path / "store.json"
+    save(seed_table(), path)
+    before = path.read_bytes()
+
+    def failing_dump(doc, fh, **kwargs):
+        fh.write('{"format_version": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        save(KnotStore(), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["store.json"]
 
 
 def test_save_load_empty_store(tmp_path):

@@ -62,6 +62,18 @@ def test_aggregate_untwisted_double_of_figure_eight():
     assert {r.rule for r in report.applied_rules} >= {"freedman"}
 
 
+@pytest.mark.parametrize("terms", [[[1, 0]], [[1, 1]], [[1, -3]], [[-1, 0]]],
+                         ids=["1", "t", "t^-3", "-1"])
+def test_freedman_trivial_alexander_up_to_units(terms):
+    delta = LaurentPoly.from_terms(terms)
+    report = aggregate(KnotRecord(name="unit", alexander=delta))
+    assert report.verdict.topologically_slice == "yes"
+    notes = [r.contribution for r in report.applied_rules if r.rule == "freedman"]
+    assert notes == [f"Delta = {delta}, so the knot is topologically slice"]
+    if delta == LaurentPoly.one():
+        assert notes == ["Delta = 1, so the knot is topologically slice"]
+
+
 def test_aggregate_odd_twisted_double_of_unknot():
     store = seed_table()
     record = whitehead_double_record(WhiteheadParams("+", 3, 0, "unknot"),

@@ -1,15 +1,17 @@
 """Seifert matrix invariants: signature, Alexander, Arf, Levine-Tristram, bounds."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import arf_gf2, float_signature, make_invalid_seifert, make_valid_seifert
+from conftest import (arf_gf2, float_levine_tristram, float_signature, make_invalid_seifert,
+                      make_valid_seifert)
 
 from slicegate.bounds import Interval
 from slicegate.cli import main
-from slicegate.laurent import InvalidAlexanderError, LaurentPoly
+from slicegate.laurent import InvalidAlexanderError, LaurentPoly, normalize
 from slicegate.seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf,
                                arf_murasugi, determinant, genus_bounds_from_matrix,
                                levine_tristram, signature)
@@ -71,11 +73,10 @@ def test_signature_hyperbolic_branch():
 
 
 def test_congruence_reduction_against_numpy_on_arbitrary_symmetric_input():
-    # the internal reducer handles any symmetric matrix, including singular
+    # the integer kernel handles any symmetric matrix, including singular
     # ones and zero diagonals; check it against eigenvalue counting
     import numpy as np
-    from fractions import Fraction
-    from slicegate.seifert import _signature_sym
+    from slicegate.seifert import _signature_int
 
     rng = random.Random(2718)
     for _ in range(300):
@@ -87,7 +88,7 @@ def test_congruence_reduction_against_numpy_on_arbitrary_symmetric_input():
                 if rng.random() < 0.3:
                     x = 0
                 a[i][j] = a[j][i] = x
-        exact = _signature_sym([[Fraction(x) for x in row] for row in a])
+        exact = _signature_int(a)
         eigs = np.linalg.eigvalsh(np.array(a, dtype=float))
         approx = int((eigs > 1e-9).sum()) - int((eigs < -1e-9).sum())
         assert exact == approx, a
@@ -230,6 +231,48 @@ def test_levine_tristram_jump_at_the_alexander_root():
     assert levine_tristram(V_TREFOIL, "1/12") == 0
     assert levine_tristram(V_TREFOIL, "2/5") == -2
     assert levine_tristram(V_TREFOIL, "1/2") == -2
+
+
+def test_levine_tristram_matches_float_oracle_at_small_denominators():
+    rng = random.Random(1729)
+    angles = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
+    for _ in range(30):
+        entries = make_valid_seifert(rng, rng.choice([2, 4, 6, 8]))
+        v = SeifertMatrix(entries)
+        exact = {w: levine_tristram(v, w) for w in angles}
+        for w in angles:
+            assert exact[w] == float_levine_tristram(entries, w), (entries, w)
+            assert exact[w] == exact[1 - w]
+
+
+def _root_angles(v):
+    """Angles in (0, 1/2) of the unit-circle roots of Delta, in floating point."""
+    import numpy as np
+
+    q, _ = normalize(alexander(v))
+    roots = np.roots(q.coeffs[::-1]) if q.degree else []
+    return [math.atan2(r.imag, r.real) / (2 * math.pi)
+            for r in roots if abs(abs(r) - 1) < 1e-9 and r.imag > 0]
+
+
+def test_levine_tristram_beside_roots_of_delta():
+    # 1/10^4 either side of a root the signature function may jump; the exact
+    # value must follow the float count on both sides, and at the conjugate angle
+    step = Fraction(1, 10**4)
+    assert levine_tristram(V_TREFOIL, Fraction(1, 6) - step) == 0
+    assert levine_tristram(V_TREFOIL, Fraction(1, 6) + step) == -2
+    cases = [(V_TREFOIL.entries, Fraction(1, 6))]
+    rng = random.Random(606)
+    while len(cases) < 4:
+        entries = make_valid_seifert(rng, rng.choice([4, 6, 8]))
+        for theta in _root_angles(SeifertMatrix(entries)):
+            cases.append((entries, Fraction(round(theta * 10**6), 10**6)))
+    for entries, root in cases:
+        v = SeifertMatrix(entries)
+        for w in (root - step, root + step):
+            exact = levine_tristram(v, w)
+            assert exact == float_levine_tristram(entries, w), (entries, w)
+            assert exact == levine_tristram(v, 1 - w) == float_levine_tristram(entries, 1 - w)
 
 
 def test_levine_tristram_rejects_omega_one():
