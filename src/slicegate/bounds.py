@@ -40,14 +40,18 @@ class Interval:
     def from_json(cls, obj) -> "Interval":
         if isinstance(obj, int):
             return cls(obj, obj)
-        lo, hi = obj
-        return cls(int(lo), None if hi is None else int(hi))
+        try:
+            lo, hi = obj
+            return cls(int(lo), None if hi is None else int(hi))
+        except TypeError:
+            raise ValueError(f"an interval is an integer or [lo, hi], got {obj!r}") from None
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]" if self.hi is not None else f"[{self.lo}, inf)"
 
 
-_GENUS_FLOOR = {"g4": 0, "g3": 0, "gamma4": 1, "gamma3": 1}
+# the genus quantities in wire order, each with the least value it can take
+GENUS_FLOOR = {"g4": 0, "gamma4": 1, "g3": 0, "gamma3": 1}
 
 
 @dataclass(frozen=True)
@@ -65,23 +69,10 @@ class GenusBounds:
     gamma3: Interval | None = None
 
     def __post_init__(self):
-        for field, floor in _GENUS_FLOOR.items():
+        for field, floor in GENUS_FLOOR.items():
             iv = getattr(self, field)
             if iv is not None and iv.lo < floor:
                 raise ValueError(f"{field} lower bound {iv.lo} below its floor {floor}")
 
     def to_json(self):
-        return {
-            "g4": self.g4.to_json() if self.g4 else None,
-            "gamma4": self.gamma4.to_json() if self.gamma4 else None,
-            "g3": self.g3.to_json() if self.g3 else None,
-            "gamma3": self.gamma3.to_json() if self.gamma3 else None,
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "GenusBounds":
-        def iv(key):
-            v = obj.get(key)
-            return Interval.from_json(v) if v is not None else None
-
-        return cls(g4=iv("g4"), gamma4=iv("gamma4"), g3=iv("g3"), gamma3=iv("gamma3"))
+        return {q: iv.to_json() if (iv := getattr(self, q)) else None for q in GENUS_FLOOR}

@@ -132,7 +132,7 @@ def _cmd_invariants(args, store) -> int:
     fm = fox_milnor(delta)
     lt = []
     for angle in args.omega or []:
-        val = _seifert.levine_tristram(v, angle)
+        val = _seifert._levine_tristram(v, angle, delta)
         lt.append((angle, "singular" if val is None else val))
     payload = {
         "name": record.name,

@@ -55,22 +55,26 @@ class KnotRecord:
 
     def validate(self) -> "KnotRecord":
         """Cross-check stored values against anything computable; raise on mismatch."""
+        for label, value in (("sigma", self.sigma), ("arf", self.arf)):
+            if value is not None and type(value) is not int:
+                raise ValueError(f"record {self.name!r}: {label} must be an integer, "
+                                 f"got {value!r}")
         bad = []
         v = self.seifert_matrix
         if v is not None:
-            if self.sigma is not None and self.sigma != _seifert.signature(v):
-                bad.append(f"sigma: stored {self.sigma}, computed {_seifert.signature(v)}")
+            if self.sigma is not None:
+                computed = _seifert.signature(v)
+                if self.sigma != computed:
+                    bad.append(f"sigma: stored {self.sigma}, computed {computed}")
             if self.arf is not None:
                 computed = _seifert.arf(v)
                 if self.arf != computed:
                     bad.append(f"arf: stored {self.arf}, computed {computed}")
             if self.alexander is not None:
-                stored_q, _ = normalize(self.alexander)
-                computed_q, _ = normalize(_seifert.alexander(v))
-                if stored_q != computed_q:
-                    bad.append(
-                        f"alexander: stored {self.alexander} differs from det(V - tV^T) "
-                        f"= {_seifert.alexander(v)} up to units")
+                computed = _seifert.alexander(v)
+                if normalize(self.alexander)[0] != normalize(computed)[0]:
+                    bad.append(f"alexander: stored {self.alexander} differs from "
+                               f"det(V - tV^T) = {computed} up to units")
         if self.arf is not None and self.arf not in (0, 1):
             bad.append(f"arf: {self.arf} is not in {{0, 1}}")
         if self.sigma is not None and self.sigma % 2:
@@ -92,6 +96,12 @@ class KnotRecord:
 
     @classmethod
     def from_json(cls, obj) -> "KnotRecord":
+        if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
+            raise ValueError(f"a store record is a JSON object with a string 'name', "
+                             f"got {obj!r}")
+        provenance = obj.get("provenance") or {}
+        if not isinstance(provenance, dict):
+            raise ValueError(f"record {obj['name']!r}: provenance must be a JSON object")
         return cls(
             name=obj["name"],
             seifert_matrix=(SeifertMatrix.from_json(obj["seifert_matrix"])
@@ -101,7 +111,7 @@ class KnotRecord:
             invariants=CompanionInvariants.from_json(obj.get("invariants") or {}),
             sigma=obj.get("sigma"),
             arf=obj.get("arf"),
-            provenance=dict(obj.get("provenance") or {}),
+            provenance=dict(provenance),
         )
 
 
@@ -379,14 +389,27 @@ def save(store: KnotStore, path) -> None:
             os.remove(tmp)
 
 
+def _no_float(text):
+    raise ValueError(f"store files hold no floating-point numbers, got {text}")
+
+
 def load(path) -> KnotStore:
-    """Read a store written by save(); duplicate names are an error."""
+    """Read a store written by save().
+
+    Malformed documents, duplicate names and inconsistent records all raise
+    ValueError.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=_no_float, parse_constant=_no_float)
+    if not isinstance(doc, dict):
+        raise ValueError("a store is a JSON object with 'format_version' and 'records'")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported store format_version {version!r}")
+    records = doc.get("records", [])
+    if not isinstance(records, list):
+        raise ValueError("store 'records' must be a JSON list")
     store = KnotStore()
-    for obj in doc.get("records", []):
+    for obj in records:
         store.add(KnotRecord.from_json(obj))
     return store

@@ -74,14 +74,18 @@ class LaurentPoly:
         """Build from the wire format [[coeff, exponent], ...], exponents strictly increasing."""
         coeffs = {}
         last = None
-        for item in terms:
-            c, e = (int(x) for x in item)
-            if last is not None and e <= last:
-                raise ValueError("term exponents must be strictly increasing")
-            last = e
-            if c == 0:
-                raise ValueError("zero coefficients are not allowed in the term list")
-            coeffs[e] = c
+        try:
+            for item in terms:
+                c, e = (int(x) for x in item)
+                if last is not None and e <= last:
+                    raise ValueError("term exponents must be strictly increasing")
+                last = e
+                if c == 0:
+                    raise ValueError("zero coefficients are not allowed in the term list")
+                coeffs[e] = c
+        except TypeError:
+            raise ValueError(f"terms are [[coeff, exponent], ...] integer pairs, got {terms!r}"
+                             ) from None
         return cls(coeffs)
 
     def to_terms(self) -> list[list[int]]:
@@ -499,7 +503,7 @@ def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
     necessary check first: |p(-1)| must be an odd perfect square.  Otherwise
     factors the unit-normalized polynomial and pairs each irreducible factor
     g with its reciprocal t^deg(g) * g(t^-1); self-reciprocal factors must
-    occur with even multiplicity and the content must be a perfect square.
+    occur with even multiplicity.  The content divides p(1) = +/-1, so it is 1.
     """
     if not p:
         raise InvalidAlexanderError("the zero polynomial is not an Alexander polynomial")
@@ -513,10 +517,7 @@ def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
 
     q, unit = normalize(p)
     factors, content = factor(q)
-    assert content > 0
-    c = math.isqrt(content)
-    if c * c != content:
-        return FoxMilnorResult(False, reason=f"content {content} is not a perfect square")
+    assert content == 1
 
     counts = Counter(f.coeffs for f in factors)
     half: list[tuple[int, ...]] = []
@@ -540,7 +541,7 @@ def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
             counts[cs] = 0
             counts[star] = 0
 
-    f_cs = [c]
+    f_cs = [1]
     for cs in half:
         f_cs = _poly_mul(f_cs, list(cs))
     witness = IntPoly(f_cs)

@@ -1,10 +1,10 @@
 """Aggregates slice obstructions and genus bounds into auditable verdict reports.
 
 The engine runs a fixed registry of monotone interval-tightening rules to a
-fixed point, so the resulting bounds are independent of rule order, then
-re-evaluates every rule against the final state to decide which ones justify
-an endpoint.  Contradictory inputs raise an error naming the clashing rules
-instead of silently clamping.
+fixed point, so the resulting bounds are independent of rule order.  The
+last sweep tightens nothing, so it saw the final state, and the constraints
+it emitted decide which rules justify an endpoint.  Contradictory inputs
+raise an error naming the clashing rules instead of silently clamping.
 """
 
 from __future__ import annotations
@@ -12,18 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from . import seifert as _seifert
-from .bounds import GenusBounds, Interval
+from .bounds import GENUS_FLOOR, GenusBounds, Interval
 from .laurent import FoxMilnorResult, LaurentPoly, fox_milnor, normalize
 from .plfunc import PLFunction, g4_lower_bound, oss_gamma4_lower_bound, upsilon_little
 
 if TYPE_CHECKING:
     from .knotdb import KnotRecord
 
-_QUANTS = ("g4", "gamma4", "g3", "gamma3")
-_FLOOR = {"g4": 0, "g3": 0, "gamma4": 1, "gamma3": 1}
+_STORED_ANCHOR = "input invariant table"
 
 
 class InconsistentBoundsError(ValueError):
@@ -106,7 +105,7 @@ def _facts_from_record(record: "KnotRecord", oss_convention: str) -> _Facts:
         upsilon=ups,
         upsilon_value=upsilon_little(ups) if ups is not None else None,
         surface_genus=v.n // 2 if v is not None else None,
-        stored=GenusBounds(g4=inv.g4, gamma4=inv.gamma4, g3=inv.g3, gamma3=inv.gamma3),
+        stored=GenusBounds(**{q: getattr(inv, q) for q in GENUS_FLOOR}),
         oss_convention=oss_convention,
     )
 
@@ -114,18 +113,20 @@ def _facts_from_record(record: "KnotRecord", oss_convention: str) -> _Facts:
 # ---------------------------------------------------------------------------
 # the rule registry
 
-# A rule maps (facts, lo, hi) to constraints (quantity, side, value, note);
-# lo/hi are the current bound maps, read-only.  Constraints must be monotone
-# in the state so the fixed point is unique and order-independent.
+# A bound function maps (facts, lo, hi) to constraints (quantity, side,
+# value, note); lo/hi are the current bound maps, read-only.  Constraints must
+# be monotone in the state so the fixed point is unique and order-independent.
+# A smooth note maps the facts to the line that explains smooth sliceness
+# "no", or None; each note accompanies a g4 >= 1 constraint of its rule.
 
 
 def _rule_stored(f, lo, hi):
     out = []
-    for q in _QUANTS:
+    for q, floor in GENUS_FLOOR.items():
         iv = getattr(f.stored, q)
         if iv is None:
             continue
-        if iv.lo > _FLOOR[q]:
+        if iv.lo > floor:
             out.append((q, "lo", iv.lo, f"declared {q} >= {iv.lo}"))
         if iv.hi is not None:
             out.append((q, "hi", iv.hi, f"declared {q} <= {iv.hi}"))
@@ -224,41 +225,41 @@ def _rule_dimension(f, lo, hi):
     return out
 
 
-@dataclass(frozen=True)
-class _Rule:
-    name: str
-    anchor: str
-    fn: Callable
-
-
-_RULES: tuple[_Rule, ...] = (
-    _Rule("stored-bounds", "input invariant table", _rule_stored),
-    _Rule("seifert-surface", "genus of the given Seifert surface", _rule_surface),
-    _Rule("signature-bound", "Murasugi: |sigma(K)|/2 <= g4(K)", _rule_signature),
-    _Rule("arf-obstruction", "Robertello: Arf vanishes for slice knots", _rule_arf),
-    _Rule("fox-milnor", "Fox-Milnor: Delta_K(t) = f(t)f(1/t) up to units for slice K",
-          _rule_fox_milnor),
-    _Rule("tau-bound", "Ozsvath-Szabo: |tau(K)| <= g4(K)", _rule_tau),
-    _Rule("nu-bound", "Rasmussen: nu(K) <= g4(K)", _rule_nu),
-    _Rule("upsilon-bound", "Ozsvath-Stipsicz-Szabo: |Upsilon_K(s)| <= s * g4(K)",
-          _rule_upsilon),
-    _Rule("yasuhara", "Yasuhara Prop 5.1: sigma + 4*Arf = 4 (mod 8) => gamma4 >= 2",
-          _rule_yasuhara),
-    _Rule("oss-gamma4", "Ozsvath-Stipsicz-Szabo: |upsilon(K) -/+ sigma(K)/2| <= gamma4(K)",
-          _rule_oss),
-    _Rule("crosscap-upper", "gamma4(K) <= 2*g4(K) + 1 (orientable surface plus a crosscap)",
-          _rule_crosscap_upper),
-    _Rule("genus-ordering", "surfaces in S^3 push into the 4-ball: g4 <= g3, gamma4 <= gamma3",
-          _rule_dimension),
+# (name, anchor, bound function, smooth note)
+_RULES = (
+    ("stored-bounds", _STORED_ANCHOR, _rule_stored, None),
+    ("seifert-surface", "genus of the given Seifert surface", _rule_surface, None),
+    ("signature-bound", "Murasugi: |sigma(K)|/2 <= g4(K)", _rule_signature,
+     lambda f: f"sigma = {f.sigma} != 0 obstructs smooth sliceness" if f.sigma else None),
+    ("arf-obstruction", "Robertello: Arf vanishes for slice knots", _rule_arf,
+     lambda f: "Arf = 1 obstructs smooth sliceness" if f.arf == 1 else None),
+    ("fox-milnor", "Fox-Milnor: Delta_K(t) = f(t)f(1/t) up to units for slice K",
+     _rule_fox_milnor,
+     lambda f: (f"Fox-Milnor fails ({f.fm.reason}): not topologically slice"
+                if f.fm is not None and not f.fm.passes else None)),
+    ("tau-bound", "Ozsvath-Szabo: |tau(K)| <= g4(K)", _rule_tau,
+     lambda f: f"tau = {f.tau} != 0 obstructs smooth sliceness" if f.tau else None),
+    ("nu-bound", "Rasmussen: nu(K) <= g4(K)", _rule_nu, None),
+    ("upsilon-bound", "Ozsvath-Stipsicz-Szabo: |Upsilon_K(s)| <= s * g4(K)", _rule_upsilon,
+     lambda f: (f"upsilon = {f.upsilon_value} != 0 obstructs smooth sliceness"
+                if f.upsilon_value else None)),
+    ("yasuhara", "Yasuhara Prop 5.1: sigma + 4*Arf = 4 (mod 8) => gamma4 >= 2",
+     _rule_yasuhara, None),
+    ("oss-gamma4", "Ozsvath-Stipsicz-Szabo: |upsilon(K) -/+ sigma(K)/2| <= gamma4(K)",
+     _rule_oss, None),
+    ("crosscap-upper", "gamma4(K) <= 2*g4(K) + 1 (orientable surface plus a crosscap)",
+     _rule_crosscap_upper, None),
+    ("genus-ordering", "surfaces in S^3 push into the 4-ball: g4 <= g3, gamma4 <= gamma3",
+     _rule_dimension, None),
 )
 
 
 class _Tracker:
     def __init__(self):
-        self.lo = dict(_FLOOR)
-        self.hi = {q: None for q in _QUANTS}
-        self.lo_rule = {q: "definition" for q in _QUANTS}
-        self.hi_rule = {q: None for q in _QUANTS}
+        self.lo = dict(GENUS_FLOOR)
+        self.hi = dict.fromkeys(GENUS_FLOOR)
+        self.lo_rule = dict.fromkeys(GENUS_FLOOR, "definition")
+        self.hi_rule = dict.fromkeys(GENUS_FLOOR)
 
     def tighten(self, quantity, side, value, rule_name) -> bool:
         if side == "lo":
@@ -351,72 +352,44 @@ def aggregate(record: "KnotRecord", *, oss_convention: str = "minus",
     facts = _facts_from_record(record, oss_convention)
     if (facts.sigma is None and facts.arf is None and facts.delta is None
             and facts.tau is None and facts.nu is None and facts.upsilon is None
-            and all(getattr(facts.stored, q) is None for q in _QUANTS)):
+            and all(getattr(facts.stored, q) is None for q in GENUS_FLOOR)):
         raise ValueError(f"record {facts.name!r} carries no matrix, polynomial, "
                          "or stored invariants to aggregate")
     tracker = _Tracker()
+    lo, hi = tracker.lo, tracker.hi
     changed = True
     while changed:
         changed = False
-        for rule in _RULES:
-            for quantity, side, value, _ in rule.fn(facts, tracker.lo, tracker.hi):
-                changed |= tracker.tighten(quantity, side, value, rule.name)
+        last_sweep, smooth_notes = [], []
+        for name, anchor, bound_fn, smooth_note in _RULES:
+            for quantity, side, value, note in bound_fn(facts, lo, hi):
+                changed |= tracker.tighten(quantity, side, value, name)
+                last_sweep.append((name, anchor, quantity, side, value, note))
+            if smooth_note and (note := smooth_note(facts)):
+                smooth_notes.append(AppliedRule(name, anchor, note))
 
-    lo, hi = tracker.lo, tracker.hi
-    fm = facts.fm
+    # the last sweep tightened nothing, so it ran against the final bounds
+    applied = [AppliedRule(name, anchor, note)
+               for name, anchor, quantity, side, value, note in last_sweep
+               if (value == hi[quantity] if side == "hi"
+                   else value == lo[quantity] and value > GENUS_FLOOR[quantity])]
 
-    applied: list[AppliedRule] = []
-    for rule in _RULES:
-        for quantity, side, value, note in rule.fn(facts, lo, hi):
-            binding = (value == lo[quantity]) if side == "lo" else (value == hi[quantity])
-            if side == "lo" and value <= _FLOOR[quantity]:
-                binding = False
-            if binding:
-                applied.append(AppliedRule(rule.name, rule.anchor, note))
-
-    # verdicts
-    topological = "unknown"
-    smooth = "unknown"
-    smooth_triggers = []
-    if fm is not None and not fm.passes:
+    topological = smooth = "unknown"
+    if facts.fm is not None and not facts.fm.passes:
         topological = "no"
-        smooth_triggers.append(AppliedRule(
-            "fox-milnor", _anchor("fox-milnor"),
-            f"Fox-Milnor fails ({fm.reason}): not topologically slice"))
     elif facts.delta is not None and normalize(facts.delta)[0].coeffs == (1,):
         # Delta is a unit +/-t^k, the trivial Alexander polynomial up to units
         topological = "yes"
         applied.append(AppliedRule(
             "freedman", "Freedman: trivial Alexander polynomial => topologically slice",
             f"Delta = {facts.delta}, so the knot is topologically slice"))
-
-    if facts.sigma:
-        smooth_triggers.append(AppliedRule(
-            "signature-bound", _anchor("signature-bound"),
-            f"sigma = {facts.sigma} != 0 obstructs smooth sliceness"))
-    if facts.arf == 1:
-        smooth_triggers.append(AppliedRule(
-            "arf-obstruction", _anchor("arf-obstruction"),
-            "Arf = 1 obstructs smooth sliceness"))
-    if facts.tau:
-        smooth_triggers.append(AppliedRule(
-            "tau-bound", _anchor("tau-bound"),
-            f"tau = {facts.tau} != 0 obstructs smooth sliceness"))
-    if facts.upsilon_value:
-        smooth_triggers.append(AppliedRule(
-            "upsilon-bound", _anchor("upsilon-bound"),
-            f"upsilon = {facts.upsilon_value} != 0 obstructs smooth sliceness"))
-
-    if smooth_triggers or lo["g4"] >= 1:
+    if lo["g4"] >= 1:
         smooth = "no"
-        applied.extend(smooth_triggers)
-    if hi["g4"] == 0:
-        assert smooth != "no", "tracker should have caught slice-vs-obstruction conflicts"
-        smooth = "yes"
-        topological = "yes"
-        applied.append(AppliedRule(
-            "stored-bounds", _anchor("stored-bounds"),
-            "g4 = 0 declared: smoothly (hence topologically) slice"))
+        applied += smooth_notes
+    elif hi["g4"] == 0:
+        smooth = topological = "yes"
+        applied.append(AppliedRule("stored-bounds", _STORED_ANCHOR,
+                                   "g4 = 0 declared: smoothly (hence topologically) slice"))
 
     nonorientable = "unknown"
     if hi["gamma4"] == 1:
@@ -426,25 +399,9 @@ def aggregate(record: "KnotRecord", *, oss_convention: str = "minus",
 
     verdict = Verdict(topologically_slice=topological, smoothly_slice=smooth,
                       nonorientably_slice=nonorientable)
-
-    def interval_or_none(q):
-        if lo[q] > _FLOOR[q] or hi[q] is not None:
-            return Interval(lo[q], hi[q])
-        return None
-
-    bounds = GenusBounds(
-        g4=interval_or_none("g4"),
-        gamma4=interval_or_none("gamma4"),
-        g3=interval_or_none("g3"),
-        gamma3=interval_or_none("gamma3"),
-    )
+    bounds = GenusBounds(**{q: Interval(lo[q], hi[q])
+                            for q, floor in GENUS_FLOOR.items()
+                            if lo[q] > floor or hi[q] is not None})
     unique = sorted(set(applied), key=lambda r: (r.rule, r.contribution))
     return ObstructionReport(name=facts.name, bounds=bounds, verdict=verdict,
                              applied_rules=tuple(unique), notes=tuple(notes))
-
-
-def _anchor(rule_name: str) -> str:
-    for rule in _RULES:
-        if rule.name == rule_name:
-            return rule.anchor
-    raise KeyError(rule_name)

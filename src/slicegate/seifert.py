@@ -360,6 +360,11 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     as half the signature of the integer form [[aS, bA], [-bA, aS]].
     Conjugate angles have equal signatures, and p/q = 1/2 is the signature.
     """
+    return _levine_tristram(v, omega, None)
+
+
+def _levine_tristram(v: SeifertMatrix, omega, delta: LaurentPoly | None) -> int | None:
+    """levine_tristram with delta = alexander(v) given, or None to compute it when needed."""
     w = _omega_fraction(omega)
     if w > Fraction(1, 2):
         w = 1 - w
@@ -368,7 +373,8 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     n = v.n
     if n == 0:
         return 0
-    delta = alexander(v)
+    if delta is None:
+        delta = alexander(v)
     delta_poly, _ = normalize(delta)
     # Phi_q has degree phi(q) >= sqrt(q/2), so it cannot divide Delta when q > 2 deg^2
     if (w.denominator <= 2 * delta_poly.degree ** 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import GenusBounds, Interval
+from .bounds import GENUS_FLOOR, GenusBounds, Interval
 from .laurent import LaurentPoly
 from .obstruct import yasuhara
 from .plfunc import PLFunction
@@ -84,6 +84,10 @@ class CompanionInvariants:
     upsilon: PLFunction | None = None
 
     def __post_init__(self):
+        for name in ("tau", "epsilon", "nu", "s"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epsilon is not None and self.epsilon not in (-1, 0, 1):
             raise ValueError(f"epsilon must be in {{-1, 0, 1}}, got {self.epsilon}")
         if self.s is not None and self.s % 2:
@@ -92,10 +96,10 @@ class CompanionInvariants:
             if self.nu not in (self.tau, self.tau + 1):
                 raise ValueError(
                     f"nu = {self.nu} must be tau or tau + 1 (tau = {self.tau})")
-        for name in ("gamma4", "gamma3"):
+        for name, floor in GENUS_FLOOR.items():
             iv = getattr(self, name)
-            if iv is not None and iv.lo < 1:
-                raise ValueError(f"{name} lower bound below 1")
+            if iv is not None and iv.lo < floor:
+                raise ValueError(f"{name} lower bound below {floor}")
 
     def to_json(self):
         return {
@@ -103,29 +107,21 @@ class CompanionInvariants:
             "epsilon": self.epsilon,
             "nu": self.nu,
             "s": self.s,
-            "g4": self.g4.to_json() if self.g4 else None,
-            "gamma4": self.gamma4.to_json() if self.gamma4 else None,
-            "g3": self.g3.to_json() if self.g3 else None,
-            "gamma3": self.gamma3.to_json() if self.gamma3 else None,
+            **{q: iv.to_json() if (iv := getattr(self, q)) else None for q in GENUS_FLOOR},
             "upsilon": self.upsilon.to_json() if self.upsilon else None,
         }
 
     @classmethod
     def from_json(cls, obj) -> "CompanionInvariants":
-        def iv(key):
-            v = obj.get(key)
-            return Interval.from_json(v) if v is not None else None
-
+        if not isinstance(obj, dict):
+            raise ValueError(f"stored invariants must be a JSON object, got {obj!r}")
         ups = obj.get("upsilon")
         return cls(
             tau=obj.get("tau"),
             epsilon=obj.get("epsilon"),
             nu=obj.get("nu"),
             s=obj.get("s"),
-            g4=iv("g4"),
-            gamma4=iv("gamma4"),
-            g3=iv("g3"),
-            gamma3=iv("gamma3"),
+            **{q: Interval.from_json(obj[q]) for q in GENUS_FLOOR if obj.get(q) is not None},
             upsilon=PLFunction.from_json(ups) if ups else None,
         )
 

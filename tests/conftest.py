@@ -115,3 +115,57 @@ def arf_gf2(entries):
         total += 1 - 2 * q
     assert abs(total) == 1 << (n // 2), "quadratic form unexpectedly degenerate"
     return 0 if total > 0 else 1
+
+
+def golden_corpus():
+    """(record, aggregate keyword arguments) pairs behind the golden report file.
+
+    The seed knots under both OSS sign conventions, a grid of Whitehead
+    doubles (every seed companion, both clasps, twists -4..4, framings
+    -1/0/1, with the half-twist note as the CLI adds it) and twelve records
+    of stored bounds, the last two of them contradictory.
+    """
+    from slicegate.bounds import Interval
+    from slicegate.knotdb import KnotRecord, seed_table, whitehead_double_record
+    from slicegate.laurent import LaurentPoly
+    from slicegate.plfunc import PLFunction
+    from slicegate.seifert import SeifertMatrix
+    from slicegate.whitehead import HALF_TWIST_NOTE, CompanionInvariants, WhiteheadParams
+
+    store = seed_table()
+    corpus = [(store.lookup(name), {"oss_convention": convention})
+              for convention in ("minus", "plus") for name in store.names()]
+    for companion in store.names():
+        for clasp in "+-":
+            for twist in range(-4, 5):
+                for framing in (-1, 0, 1):
+                    params = WhiteheadParams(clasp, twist, framing, companion)
+                    record = whitehead_double_record(params, store.lookup(companion))
+                    notes = (HALF_TWIST_NOTE,) if params.half_twist_regime else ()
+                    corpus.append((record, {"notes": notes}))
+
+    def stored(name, **fields):
+        top = {k: fields.pop(k) for k in ("seifert_matrix", "alexander", "sigma", "arf")
+               if k in fields}
+        return KnotRecord(name=name, invariants=CompanionInvariants(**fields), **top)
+
+    trefoil_upsilon = PLFunction([(0, 0), (1, -1), (2, 0)])
+    corpus += [(stored(*args, **fields), {}) for args, fields in [
+        (("stored-g4-point",), dict(g4=Interval(2, 2), g3=Interval(2, 3))),
+        (("stored-gamma4-only",), dict(gamma4=Interval(3, 5))),
+        (("stored-g3-sigma",), dict(g3=Interval(0, 1), sigma=-2, arf=1)),
+        (("stored-tau-nu",), dict(tau=2, nu=3, g4=Interval(1, 4))),
+        (("stored-upsilon",), dict(upsilon=trefoil_upsilon, sigma=0, arf=0,
+                                   gamma3=Interval(1, 4))),
+        (("stored-yasuhara",), dict(sigma=4, arf=0, gamma4=Interval(1, 2), g4=Interval(2, 5))),
+        (("stored-fox-milnor-fails",), dict(alexander=LaurentPoly({1: -1, 0: 3, -1: -1}),
+                                            g4=Interval(1, 2), g3=Interval(1, 1))),
+        (("stored-slice",), dict(alexander=LaurentPoly({1: 2, 0: -5, -1: 2}),
+                                 g4=Interval(0, 0), gamma4=Interval(1, 1))),
+        (("stored-unit-delta",), dict(alexander=LaurentPoly({2: 1}), gamma3=Interval(1, 2))),
+        (("stored-matrix",), dict(seifert_matrix=SeifertMatrix([[-1, 1], [0, -1]]),
+                                  g4=Interval(1, 1), gamma3=Interval(2, 3))),
+        (("clash-tau-g4",), dict(tau=3, g4=Interval(0, 2))),
+        (("clash-yasuhara-gamma4",), dict(sigma=0, arf=1, gamma4=Interval(1, 1))),
+    ]]
+    return corpus

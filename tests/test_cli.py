@@ -9,6 +9,7 @@ import pytest
 from jsonschema import validate
 
 import slicegate
+from slicegate import seifert as _seifert
 from slicegate.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(slicegate.__file__)))
@@ -264,6 +265,48 @@ def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def _store_with(**fields):
+    return {"format_version": 1, "records": [{"name": "k", **fields}]}
+
+
+@pytest.mark.parametrize("document", [
+    [],
+    {"format_version": 1, "records": {"a": 1}},
+    {"format_version": 1, "records": [5]},
+    {"format_version": 1, "records": [{"sigma": 0}]},
+    _store_with(alexander=5),
+    _store_with(alexander=[[None, 0]]),
+    _store_with(invariants=[1]),
+    _store_with(sigma="x"),
+], ids=["document-not-object", "records-not-list", "record-not-object", "record-without-name",
+        "alexander-not-terms", "alexander-null-coefficient", "invariants-not-object",
+        "sigma-not-integer"])
+def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = run_python("-m", "slicegate.cli", "obstruct", "--all", "--store", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_invariants_computes_alexander_once(capsys, monkeypatch):
+    calls = []
+    alexander = _seifert.alexander
+
+    def counting_alexander(v):
+        calls.append(v)
+        return alexander(v)
+
+    monkeypatch.setattr(_seifert, "alexander", counting_alexander)
+    code, out, _ = run(capsys, "invariants", "4_1", "--omega", "1/3", "--omega", "2/5",
+                       "--json")
+    assert code == 0
+    assert len(json.loads(out)["levine_tristram"]) == 2
+    assert len(calls) == 1
 
 
 def test_runtime_needs_no_numpy():

@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slicegate.bounds import Interval
 from slicegate.knotdb import (DuplicateKnotError, InconsistentRecordError, KnotRecord,
@@ -154,6 +156,52 @@ def test_load_rejects_duplicates_and_bad_version(tmp_path):
     path.write_text(json.dumps({"format_version": 99, "records": []}))
     with pytest.raises(ValueError):
         load(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers(-10**6, 10**6)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=8)
+_TERMS = st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), max_size=3)
+_MATRIX = st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=2,
+                   max_size=2)
+_INVARIANTS = st.fixed_dictionaries({}, optional={
+    **{k: st.integers(-2, 2) | _JSON for k in ("tau", "epsilon", "nu", "s")},
+    **{k: st.integers(-1, 3) | st.lists(st.integers(-1, 3) | st.none(), max_size=3) | _JSON
+       for k in ("g4", "gamma4", "g3", "gamma3")},
+    "upsilon": st.fixed_dictionaries({"breakpoints": _JSON}) | _JSON,
+})
+_RECORD = st.fixed_dictionaries({"name": st.text(max_size=3)}, optional={
+    "seifert_matrix": _MATRIX | st.fixed_dictionaries({"entries": _MATRIX | _JSON}) | _JSON,
+    "alexander": _TERMS | _JSON,
+    "sigma": st.integers(-4, 4) | st.floats() | _JSON,
+    "arf": st.integers(0, 1) | _JSON,
+    "invariants": _INVARIANTS | _JSON,
+    "provenance": st.dictionaries(st.text(max_size=3), st.text(max_size=3)) | _JSON,
+})
+# whole documents of any shape, stores of any records, and well-formed stores
+# of records whose fields may have any shape
+_STORE = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({"format_version": st.just(1) | _JSON,
+                           "records": st.lists(_RECORD | _JSON, max_size=3) | _JSON}),
+    st.fixed_dictionaries({"format_version": st.just(1),
+                           "records": st.lists(_RECORD, min_size=1, max_size=3)}))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_STORE)
+def test_load_returns_a_store_or_raises_value_error(tmp_path, doc):
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        store = load(path)
+    except ValueError:
+        return
+    assert isinstance(store, KnotStore)
 
 
 def test_ingest_save_load_idempotent(tmp_path):

@@ -176,3 +176,13 @@ def test_companion_invariants_validation():
     with pytest.raises(ValueError):
         CompanionInvariants(s=1)  # s is even
     CompanionInvariants(tau=1, nu=2)
+
+
+def test_companion_invariants_genus_floors():
+    # every stored genus bound respects the floor of its quantity
+    for name, floor in (("g4", 0), ("gamma4", 1), ("g3", 0), ("gamma3", 1)):
+        with pytest.raises(ValueError, match=f"^{name} lower bound below {floor}$"):
+            CompanionInvariants(**{name: Interval(floor - 1, floor + 1)})
+        CompanionInvariants(**{name: Interval(floor, floor + 1)})
+    with pytest.raises(ValueError, match="^gamma4 lower bound below 1$"):
+        CompanionInvariants(gamma4=Interval(0, 2))
