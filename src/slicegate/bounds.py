@@ -26,13 +26,6 @@ class Interval:
             hi = min(self.hi, other.hi)
         return Interval(lo, hi)
 
-    @property
-    def is_point(self) -> bool:
-        return self.hi == self.lo
-
-    def __contains__(self, value: int) -> bool:
-        return value >= self.lo and (self.hi is None or value <= self.hi)
-
     def to_json(self):
         return [self.lo, self.hi]
 
@@ -72,7 +65,13 @@ class GenusBounds:
         for field, floor in GENUS_FLOOR.items():
             iv = getattr(self, field)
             if iv is not None and iv.lo < floor:
-                raise ValueError(f"{field} lower bound {iv.lo} below its floor {floor}")
+                raise ValueError(f"{field} lower bound below {floor}")
 
     def to_json(self):
         return {q: iv.to_json() if (iv := getattr(self, q)) else None for q in GENUS_FLOOR}
+
+    @classmethod
+    def from_json(cls, obj: dict, **fields) -> "GenusBounds":
+        """Read the genus fields of a JSON object; subclasses pass their other fields."""
+        return cls(**{q: Interval.from_json(obj[q]) for q in GENUS_FLOOR
+                      if obj.get(q) is not None}, **fields)

@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 
 from . import seifert as _seifert
 from . import whitehead as _wh
-from .bounds import Interval
+from .bounds import GENUS_FLOOR, GenusBounds, Interval
 from .laurent import LaurentPoly, normalize
 from .plfunc import PLFunction
 from .seifert import SeifertMatrix
 from .whitehead import CompanionInvariants, WhiteheadParams
 
 FORMAT_VERSION = 1
-
-PROVENANCE_TAGS = ("computed", "table", "paper", "reconstructed")
 
 
 class UnknownKnotError(KeyError):
@@ -277,13 +275,12 @@ def whitehead_double_record(params: WhiteheadParams, companion: KnotRecord) -> K
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-_CSV_FIELDS = ("name", "seifert", "alexander", "signature", "arf", "tau", "epsilon",
-               "nu", "s", "g4", "gamma4", "g3", "gamma3")
-
-
-def _parse_interval(text: str) -> Interval:
-    value = json.loads(text)
-    return Interval.from_json(value)
+def _genus_cell(quantity: str):
+    """Parser of a genus cell: an interval that respects the quantity's floor."""
+    def parse(text: str) -> Interval:
+        iv = Interval.from_json(json.loads(text))
+        return getattr(GenusBounds(**{quantity: iv}), quantity)
+    return parse
 
 
 _CELL_PARSERS = {
@@ -295,11 +292,11 @@ _CELL_PARSERS = {
     "epsilon": int,
     "nu": int,
     "s": int,
-    "g4": _parse_interval,
-    "gamma4": _parse_interval,
-    "g3": _parse_interval,
-    "gamma3": _parse_interval,
+    **{q: _genus_cell(q) for q in GENUS_FLOOR},
 }
+
+# CSV fields named differently from the record field they fill
+_RECORD_FIELD = {"seifert": "seifert_matrix", "signature": "sigma"}
 
 
 def ingest_csv(store: KnotStore, path, column_mapping: dict[str, str]):
@@ -311,7 +308,7 @@ def ingest_csv(store: KnotStore, path, column_mapping: dict[str, str]):
     diagnostic; a stored value contradicting a computed one raises
     InconsistentRecordError.  Returns (added record names, diagnostics).
     """
-    unknown = set(column_mapping) - set(_CSV_FIELDS)
+    unknown = set(column_mapping) - {"name", *_CELL_PARSERS}
     if unknown:
         raise ValueError(f"unknown fields in column mapping: {sorted(unknown)}")
     if "name" not in column_mapping:
@@ -338,7 +335,7 @@ def ingest_csv(store: KnotStore, path, column_mapping: dict[str, str]):
                     continue
                 try:
                     values[fieldname] = _CELL_PARSERS[fieldname](cell)
-                    provenance[fieldname] = "table"
+                    provenance[_RECORD_FIELD.get(fieldname, fieldname)] = "table"
                 except (ValueError, TypeError, KeyError) as exc:
                     diagnostics.append(
                         f"row {row_num}: {fieldname}: unparseable cell {cell!r} ({exc})")

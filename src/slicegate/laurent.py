@@ -66,10 +66,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, coeff: int, exponent: int = 0) -> "LaurentPoly":
-        return cls({exponent: coeff})
-
-    @classmethod
     def from_terms(cls, terms: Iterable[Iterable[int]]) -> "LaurentPoly":
         """Build from the wire format [[coeff, exponent], ...], exponents strictly increasing."""
         coeffs = {}
@@ -382,9 +378,9 @@ def _kronecker_find_factor(cs, m):
     while len(pool) < max(11, m + 3):
         pool.extend((k, -k))
         k += 1
-    scored = sorted(pool, key=lambda x: (len(_divisors(_poly_eval(cs, x))), abs(x)))
+    divs = {x: _divisors(_poly_eval(cs, x)) for x in pool}
+    scored = sorted(pool, key=lambda x: (len(divs[x]), abs(x)))
     pts = sorted(scored[: m + 1])
-    vals = [_poly_eval(cs, x) for x in pts]
     scale, basis = _lagrange_basis(pts)
 
     mods = [[(j, abs(pts[i] - pts[j])) for j in range(i) if abs(pts[i] - pts[j]) > 1]
@@ -392,7 +388,7 @@ def _kronecker_find_factor(cs, m):
     lead_cs = cs[-1]
 
     def candidates(i, chosen):
-        opts = _divisors(vals[i])
+        opts = divs[pts[i]]
         if i == 0:
             # a factor and its negation divide equally; fix g(x0) > 0
             signed = opts

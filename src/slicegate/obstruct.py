@@ -76,10 +76,9 @@ class _Facts:
     upsilon_value: Fraction | None
     surface_genus: int | None
     stored: GenusBounds
-    oss_convention: str
 
 
-def _facts_from_record(record: "KnotRecord", oss_convention: str) -> _Facts:
+def _facts_from_record(record: "KnotRecord") -> _Facts:
     v = record.seifert_matrix
     sigma = record.sigma
     arf_val = record.arf
@@ -105,8 +104,7 @@ def _facts_from_record(record: "KnotRecord", oss_convention: str) -> _Facts:
         upsilon=ups,
         upsilon_value=upsilon_little(ups) if ups is not None else None,
         surface_genus=v.n // 2 if v is not None else None,
-        stored=GenusBounds(**{q: getattr(inv, q) for q in GENUS_FLOOR}),
-        oss_convention=oss_convention,
+        stored=inv,
     )
 
 
@@ -194,11 +192,10 @@ def _rule_yasuhara(f, lo, hi):
 def _rule_oss(f, lo, hi):
     if f.upsilon_value is None or f.sigma is None:
         return []
-    v = math.ceil(oss_gamma4_lower_bound(f.upsilon_value, f.sigma, f.oss_convention))
+    v = math.ceil(oss_gamma4_lower_bound(f.upsilon_value, f.sigma))
     if v <= 1:
         return []
-    sign = "+" if f.oss_convention == "plus" else "-"
-    return [("gamma4", "lo", v, f"|upsilon {sign} sigma/2| = {v} <= gamma4")]
+    return [("gamma4", "lo", v, f"|upsilon - sigma/2| = {v} <= gamma4")]
 
 
 def _rule_crosscap_upper(f, lo, hi):
@@ -245,7 +242,7 @@ _RULES = (
                 if f.upsilon_value else None)),
     ("yasuhara", "Yasuhara Prop 5.1: sigma + 4*Arf = 4 (mod 8) => gamma4 >= 2",
      _rule_yasuhara, None),
-    ("oss-gamma4", "Ozsvath-Stipsicz-Szabo: |upsilon(K) -/+ sigma(K)/2| <= gamma4(K)",
+    ("oss-gamma4", "Ozsvath-Stipsicz-Szabo: |upsilon(K) - sigma(K)/2| <= gamma4(K)",
      _rule_oss, None),
     ("crosscap-upper", "gamma4(K) <= 2*g4(K) + 1 (orientable surface plus a crosscap)",
      _rule_crosscap_upper, None),
@@ -342,14 +339,13 @@ class ObstructionReport:
         }
 
 
-def aggregate(record: "KnotRecord", *, oss_convention: str = "minus",
-              notes: tuple[str, ...] = ()) -> ObstructionReport:
+def aggregate(record: "KnotRecord", *, notes: tuple[str, ...] = ()) -> ObstructionReport:
     """Run every obstruction rule on a knot record and report the tightest bounds.
 
     Raises InconsistentBoundsError when the declared data contradicts a rule
     (the message names the clashing rules).
     """
-    facts = _facts_from_record(record, oss_convention)
+    facts = _facts_from_record(record)
     if (facts.sigma is None and facts.arf is None and facts.delta is None
             and facts.tau is None and facts.nu is None and facts.upsilon is None
             and all(getattr(facts.stored, q) is None for q in GENUS_FLOOR)):

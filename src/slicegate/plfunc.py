@@ -16,12 +16,14 @@ from fractions import Fraction
 def _frac(x) -> Fraction:
     """Coerce ints, Fractions, 'p/q' strings and [num, den] pairs to Fraction.
 
-    Anything else, including a zero denominator, is a ValueError.
+    Anything else, including a zero denominator, is a ValueError.  So is a
+    string with an exponent: Fraction('1e-9999999') would build 10^9999999.
     """
     try:
         if isinstance(x, (tuple, list)) and len(x) == 2:
             return Fraction(int(x[0]), int(x[1]))
-        if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
+        exponent = isinstance(x, str) and ("e" in x or "E" in x)
+        if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool) and not exponent:
             return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError):
         pass
@@ -122,18 +124,13 @@ def g4_lower_bound(f: PLFunction) -> int:
     return math.ceil(best)
 
 
-def oss_gamma4_lower_bound(upsilon, sigma: int, convention: str = "minus") -> Fraction:
-    """Lower bound |v(K) -/+ sigma(K)/2| for the non-orientable 4-genus.
+def oss_gamma4_lower_bound(upsilon, sigma: int) -> Fraction:
+    """Lower bound |v(K) - sigma(K)/2| for the non-orientable 4-genus.
 
-    The two sign conventions reflect a signature-orientation mismatch between
-    sources; "minus" is the one consistent with gamma4 = 1 for the trefoil
-    (upsilon = -1, sigma = -2) and is the default.
+    With sigma(3_1) = -2 this sign is the one consistent with the trefoil
+    bounding a Moebius band (upsilon = -1, so the bound is 0).
     """
-    if convention not in ("plus", "minus"):
-        raise ValueError("convention must be 'plus' or 'minus'")
-    u = _frac(upsilon)
-    half_sigma = Fraction(sigma, 2)
-    return abs(u + half_sigma) if convention == "plus" else abs(u - half_sigma)
+    return abs(_frac(upsilon) - Fraction(sigma, 2))
 
 
 def cable_sandwich(f: PLFunction, p: int, q: int) -> tuple[PLFunction, PLFunction]:
@@ -160,9 +157,8 @@ def cable_sandwich(f: PLFunction, p: int, q: int) -> tuple[PLFunction, PLFunctio
 
 def two_q_corollary_check(upsilon_cable, q: int) -> bool:
     """Whether |v(K_{2,q}) + q/2| <= 1 holds for the proposed cable upsilon."""
-    if q % 2 == 0:
-        raise ValueError("q must be odd for a (2, q)-cable")
-    return abs(_frac(upsilon_cable) + Fraction(q, 2)) <= 1
+    lo, hi = two_q_upsilon_interval(q)
+    return lo <= _frac(upsilon_cable) <= hi
 
 
 def two_q_upsilon_interval(q: int) -> tuple[Fraction, Fraction]:

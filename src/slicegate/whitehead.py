@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import GENUS_FLOOR, GenusBounds, Interval
+from .bounds import GenusBounds, Interval
 from .laurent import LaurentPoly
-from .obstruct import yasuhara
 from .plfunc import PLFunction
 from .seifert import SeifertMatrix
 
@@ -65,22 +64,18 @@ class WhiteheadParams:
 
 
 @dataclass(frozen=True)
-class CompanionInvariants:
+class CompanionInvariants(GenusBounds):
     """Stored concordance invariants of a knot, all optional.
 
     tau, epsilon, nu and s come from the knot Floer / Khovanov packages and
     are consumed as table data; upsilon is the full piecewise-linear function;
-    the genus fields are interval bounds.
+    the genus interval bounds are the inherited GenusBounds fields.
     """
 
     tau: int | None = None
     epsilon: int | None = None
     nu: int | None = None
     s: int | None = None
-    g4: Interval | None = None
-    gamma4: Interval | None = None
-    g3: Interval | None = None
-    gamma3: Interval | None = None
     upsilon: PLFunction | None = None
 
     def __post_init__(self):
@@ -96,10 +91,7 @@ class CompanionInvariants:
             if self.nu not in (self.tau, self.tau + 1):
                 raise ValueError(
                     f"nu = {self.nu} must be tau or tau + 1 (tau = {self.tau})")
-        for name, floor in GENUS_FLOOR.items():
-            iv = getattr(self, name)
-            if iv is not None and iv.lo < floor:
-                raise ValueError(f"{name} lower bound below {floor}")
+        super().__post_init__()
 
     def to_json(self):
         return {
@@ -107,7 +99,7 @@ class CompanionInvariants:
             "epsilon": self.epsilon,
             "nu": self.nu,
             "s": self.s,
-            **{q: iv.to_json() if (iv := getattr(self, q)) else None for q in GENUS_FLOOR},
+            **super().to_json(),
             "upsilon": self.upsilon.to_json() if self.upsilon else None,
         }
 
@@ -116,14 +108,9 @@ class CompanionInvariants:
         if not isinstance(obj, dict):
             raise ValueError(f"stored invariants must be a JSON object, got {obj!r}")
         ups = obj.get("upsilon")
-        return cls(
-            tau=obj.get("tau"),
-            epsilon=obj.get("epsilon"),
-            nu=obj.get("nu"),
-            s=obj.get("s"),
-            **{q: Interval.from_json(obj[q]) for q in GENUS_FLOOR if obj.get(q) is not None},
-            upsilon=PLFunction.from_json(ups) if ups else None,
-        )
+        return super().from_json(
+            obj, tau=obj.get("tau"), epsilon=obj.get("epsilon"), nu=obj.get("nu"),
+            s=obj.get("s"), upsilon=PLFunction.from_json(ups) if ups else None)
 
 
 def pattern_seifert_matrix(clasp: str, b: int) -> SeifertMatrix:
@@ -228,17 +215,13 @@ def gamma4_whitehead(p: WhiteheadParams) -> GenusBounds:
     reaches a (2, q) torus-pattern cable, which bounds a Moebius band) and
     gamma3 <= 2 (checkerboard surface of the pattern is a punctured Klein
     bottle); when the effective twist is odd, sigma = 0 and Arf = 1 feed
-    Yasuhara's obstruction and pin gamma4 = 2.  In the half-twist regime no
-    conclusion is drawn.
+    Yasuhara's obstruction (0 + 4*1 = 4 mod 8) and pin gamma4 = 2.  In the
+    half-twist regime no conclusion is drawn.
     """
     if p.half_twist_regime:
         return GenusBounds(gamma4=Interval(1, None), gamma3=Interval(1, None))
-    b = p.effective_twist
-    if b % 2 and yasuhara(0, 1):
-        g4_interval = Interval(2, 2)
-    else:
-        g4_interval = Interval(1, 2)
-    return GenusBounds(gamma4=g4_interval, gamma3=Interval(1, 2))
+    gamma4_lo = 2 if p.effective_twist % 2 else 1
+    return GenusBounds(gamma4=Interval(gamma4_lo, 2), gamma3=Interval(1, 2))
 
 
 def cable_target(p: WhiteheadParams) -> int:

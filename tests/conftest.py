@@ -120,10 +120,10 @@ def arf_gf2(entries):
 def golden_corpus():
     """(record, aggregate keyword arguments) pairs behind the golden report file.
 
-    The seed knots under both OSS sign conventions, a grid of Whitehead
-    doubles (every seed companion, both clasps, twists -4..4, framings
-    -1/0/1, with the half-twist note as the CLI adds it) and twelve records
-    of stored bounds, the last two of them contradictory.
+    The seed knots, a grid of Whitehead doubles (every seed companion, both
+    clasps, twists -4..4, framings -1/0/1, with the half-twist note as the
+    CLI adds it) and thirteen records of stored bounds: the eleventh and
+    twelfth are contradictory, and the last makes oss-gamma4 bind gamma4.
     """
     from slicegate.bounds import Interval
     from slicegate.knotdb import KnotRecord, seed_table, whitehead_double_record
@@ -133,8 +133,7 @@ def golden_corpus():
     from slicegate.whitehead import HALF_TWIST_NOTE, CompanionInvariants, WhiteheadParams
 
     store = seed_table()
-    corpus = [(store.lookup(name), {"oss_convention": convention})
-              for convention in ("minus", "plus") for name in store.names()]
+    corpus = [(store.lookup(name), {}) for name in store.names()]
     for companion in store.names():
         for clasp in "+-":
             for twist in range(-4, 5):
@@ -167,5 +166,6 @@ def golden_corpus():
                                   g4=Interval(1, 1), gamma3=Interval(2, 3))),
         (("clash-tau-g4",), dict(tau=3, g4=Interval(0, 2))),
         (("clash-yasuhara-gamma4",), dict(sigma=0, arf=1, gamma4=Interval(1, 1))),
+        (("stored-oss-gamma4",), dict(upsilon=trefoil_upsilon, sigma=2, arf=0)),
     ]]
     return corpus

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from slicegate import seifert as _seifert
 from slicegate.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(slicegate.__file__)))
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 INTERVAL_SCHEMA = {
     "type": ["array", "null"],
@@ -253,9 +255,17 @@ def test_exact_rational_output(capsys):
      {"breakpoints": [[0, 0], [[2, 0], 0]]}),
     (["invariants", "--matrix-file", "{file}"], {"n": 2}),
     (["invariants", "--matrix-file", "{file}"], {"entries": 5}),
+    (["invariants", "4_1", "--omega", "1e-9"], None),
+    (["cobordism", "--from-upsilon", "1e-9", "--to-upsilon", "0", "--euler", "0"], None),
+    (["cobordism", "--from-upsilon", "0", "--to-upsilon", "1E-9", "--euler", "0"], None),
+    (["euler-range", "--upsilon", "1e-9", "--q", "1"], None),
+    (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-file", "{file}"],
+     {"breakpoints": [[0, 0], ["1e-9", 0], [2, 0]]}),
 ], ids=["omega-zero-denominator", "cobordism-zero-denominator",
         "euler-range-zero-denominator", "upsilon-file-zero-denominator",
-        "matrix-file-without-entries", "matrix-file-entries-not-rows"])
+        "matrix-file-without-entries", "matrix-file-entries-not-rows",
+        "omega-exponent", "from-upsilon-exponent", "to-upsilon-exponent",
+        "euler-range-exponent", "upsilon-file-exponent"])
 def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document):
     path = tmp_path / "input.json"
     if document is not None:
@@ -280,9 +290,10 @@ def _store_with(**fields):
     _store_with(alexander=[[None, 0]]),
     _store_with(invariants=[1]),
     _store_with(sigma="x"),
+    _store_with(invariants={"upsilon": {"breakpoints": [[0, 0], ["1e-9", -1], [2, 0]]}}),
 ], ids=["document-not-object", "records-not-list", "record-not-object", "record-without-name",
         "alexander-not-terms", "alexander-null-coefficient", "invariants-not-object",
-        "sigma-not-integer"])
+        "sigma-not-integer", "upsilon-breakpoint-exponent"])
 def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
     path = tmp_path / "store.json"
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -291,6 +302,24 @@ def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_readme_tour(tmp_path, capsys, monkeypatch):
+    # every command of the README's CLI tour runs as advertised
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI tour", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    tour = [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("slicegate ")]
+    assert len(tour) >= 10
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SLICEGATE_STORE", raising=False)
+    (tmp_path / "knots.csv").write_text('knot,matrix\nk2,"[[-1,1],[0,2]]"\n', encoding="utf-8")
+    for argv in tour:
+        code, out, err = run(capsys, *argv)
+        assert code == (1 if "--fail-on-obstruction" in argv else 0), (argv, err)
+        assert "Traceback" not in err, argv
+        if "--json" in argv:
+            json.loads(out)
 
 
 def test_invariants_computes_alexander_once(capsys, monkeypatch):

@@ -78,7 +78,8 @@ def test_ingest_csv_roundtrip(tmp_path):
     rec = store.lookup("4_1b")
     assert rec.seifert_matrix == seed_table().lookup("4_1").seifert_matrix
     assert rec.sigma == 0 and rec.arf == 1
-    assert rec.provenance["seifert"] == "table" or rec.provenance.get("signature") == "table"
+    assert rec.provenance["seifert_matrix"] == "table"
+    assert rec.provenance["sigma"] == "table"
     other = store.lookup("6_1b")
     assert other.seifert_matrix is None and other.arf is None and other.sigma == 0
 
@@ -100,6 +101,21 @@ def test_ingest_csv_unparseable_cell_becomes_diagnostic(tmp_path):
     assert added == ["k1"]
     assert len(diagnostics) == 1 and "tau" in diagnostics[0]
     assert store.lookup("k1").invariants.tau is None
+
+
+def test_ingest_csv_genus_cell_below_floor_becomes_diagnostic(tmp_path):
+    path = tmp_path / "floor.csv"
+    path.write_text('knot,g4,gamma4\nk1,"[-1, 2]",\nk2,,"[0, 2]"\n', encoding="utf-8")
+    store = KnotStore()
+    added, diagnostics = ingest_csv(store, path, {"name": "knot", "g4": "g4",
+                                                  "gamma4": "gamma4"})
+    assert added == ["k1", "k2"]
+    assert diagnostics == [
+        "row 2: g4: unparseable cell '[-1, 2]' (g4 lower bound below 0)",
+        "row 3: gamma4: unparseable cell '[0, 2]' (gamma4 lower bound below 1)",
+    ]
+    assert store.lookup("k1").invariants.g4 is None
+    assert store.lookup("k2").invariants.gamma4 is None
 
 
 def test_ingest_csv_mapping_validated(tmp_path):

@@ -166,14 +166,6 @@ def test_trefoil_report():
     assert report.verdict.nonorientably_slice == "yes"
 
 
-def test_oss_plus_convention_contradicts_trefoil_table():
-    # with the "plus" sign the upsilon/sigma bound would force gamma4(3_1) >= 2,
-    # contradicting the stored Moebius band; the engine must say so loudly
-    with pytest.raises(InconsistentBoundsError) as err:
-        aggregate(seed_table().lookup("3_1"), oss_convention="plus")
-    assert "oss" in str(err.value)
-
-
 def test_slice_seed_has_moebius_band_verdict():
     report = aggregate(seed_table().lookup("6_1"))
     assert report.verdict.smoothly_slice == "yes"

@@ -58,11 +58,8 @@ def test_g4_lower_bound():
 def test_oss_gamma4_lower_bound():
     assert oss_gamma4_lower_bound(0, 0) == 0
     # right-handed trefoil sanity: upsilon = -1, sigma = -2, gamma4 = 1
-    assert oss_gamma4_lower_bound(-1, -2, "minus") == 0
-    assert oss_gamma4_lower_bound(-1, -2, "plus") == 2
+    assert oss_gamma4_lower_bound(-1, -2) == 0
     assert oss_gamma4_lower_bound(-1, 0) == 1
-    with pytest.raises(ValueError):
-        oss_gamma4_lower_bound(0, 0, "sideways")
 
 
 def test_cable_sandwich_p1_is_identity():
