@@ -6,10 +6,10 @@ from .laurent import (FoxMilnorResult, IntPoly, InvalidAlexanderError, LaurentPo
 from .knotdb import (KnotRecord, KnotStore, ingest_csv, load, save, seed_table,
                      whitehead_double_record)
 from .obstruct import (AppliedRule, InconsistentBoundsError, ObstructionReport,
-                       Verdict, aggregate, band_move_bound, yasuhara)
+                       Verdict, aggregate, yasuhara)
 from .plfunc import (CobordismCheck, PLFunction, cable_sandwich, cobordism_inequality,
                      euler_number_range, g4_lower_bound, oss_gamma4_lower_bound,
-                     two_q_corollary_check, two_q_upsilon_interval, upsilon_little)
+                     two_q_upsilon_interval, upsilon_little)
 from .seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf, arf_murasugi,
                       determinant, genus_bounds_from_matrix, levine_tristram, signature)
 from .whitehead import (CompanionInvariants, HalfTwistRegimeError, MissingInvariantError,

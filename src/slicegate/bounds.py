@@ -16,16 +16,6 @@ class Interval:
         if self.hi is not None and self.hi < self.lo:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def meet(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        if self.hi is None:
-            hi = other.hi
-        elif other.hi is None:
-            hi = self.hi
-        else:
-            hi = min(self.hi, other.hi)
-        return Interval(lo, hi)
-
     def to_json(self):
         return [self.lo, self.hi]
 

@@ -58,10 +58,12 @@ def _record_for(args, store: KnotStore) -> KnotRecord:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(text_lines))
+    try:
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(text_lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`): drop the rest, and let the flush at exit go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _interval_str(iv) -> str:
@@ -109,30 +111,21 @@ def _exit_for(args, obstructed: bool) -> int:
 def _cmd_invariants(args, store) -> int:
     record = _record_for(args, store)
     v = record.seifert_matrix
-    if v is not None:
-        sigma = _seifert.signature(v)
-        arf_val = _seifert.arf(v)
-        delta = _seifert.alexander(v)
-        det = _seifert.determinant(v)
-        gb = _seifert.genus_bounds_from_matrix(v)
-    elif record.alexander is not None:
-        # polynomial-only record: report what the Alexander polynomial gives
-        delta = record.alexander
-        sigma = record.sigma
-        arf_val = _seifert.arf_murasugi(delta)
-        det = abs(int(delta.evaluate(-1)))
-        gb = None
-        if args.omega:
-            raise ValueError(
-                f"record {record.name!r} has no Seifert matrix; "
-                "Levine-Tristram signatures need one")
-    else:
+    delta = _seifert.alexander(v) if v is not None else record.alexander
+    if delta is None:
         raise ValueError(f"record {record.name!r} carries no Seifert matrix "
                          "or Alexander polynomial")
+    if v is None and args.omega:
+        raise ValueError(f"record {record.name!r} has no Seifert matrix; "
+                         "Levine-Tristram signatures need one")
+    sigma = _seifert.signature(v) if v is not None else record.sigma
+    arf_val = _seifert.arf_murasugi(delta)
+    det = abs(delta.at_pm1(-1))
+    gb = _seifert.genus_bounds_from_matrix(v) if v is not None else None
     fm = fox_milnor(delta)
     lt = []
     for angle in args.omega or []:
-        val = _seifert._levine_tristram(v, angle, delta)
+        val = _seifert.levine_tristram(v, angle)
         lt.append((angle, "singular" if val is None else val))
     payload = {
         "name": record.name,

@@ -1,9 +1,10 @@
 """Knot record storage: built-in seed knots, CSV ingestion, JSON persistence.
 
 A record mirrors one row of an invariant table.  Every field that is both
-stored and computable from the record's Seifert matrix is cross-checked at
-construction time, so transcription errors surface immediately instead of
-corrupting downstream reports.
+stored and computable from the record's Seifert matrix is cross-checked when
+the record enters a store, and so are the stored Alexander polynomial (it
+must be one) and the stored Arf against it (Murasugi), so transcription
+errors surface immediately instead of corrupting downstream reports.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 from . import seifert as _seifert
 from . import whitehead as _wh
-from .bounds import GENUS_FLOOR, GenusBounds, Interval
-from .laurent import LaurentPoly, normalize
+from .bounds import GENUS_FLOOR, Interval
+from .laurent import InvalidAlexanderError, LaurentPoly, check_alexander, normalize
 from .plfunc import PLFunction
 from .seifert import SeifertMatrix
 from .whitehead import CompanionInvariants, WhiteheadParams
@@ -52,27 +53,39 @@ class KnotRecord:
     provenance: dict = field(default_factory=dict)
 
     def validate(self) -> "KnotRecord":
-        """Cross-check stored values against anything computable; raise on mismatch."""
+        """Cross-check stored values against each other and anything computable.
+
+        A stored Alexander polynomial must be one (Delta(1) = +/-1, symmetric
+        up to +/-t^k), a stored Arf must agree with Murasugi's reading of it
+        (Arf = 0 iff Delta(-1) = +/-1 mod 8), and stored sigma, Arf and Delta
+        must agree with the Seifert matrix; a mismatch raises
+        InconsistentRecordError.
+        """
         for label, value in (("sigma", self.sigma), ("arf", self.arf)):
             if value is not None and type(value) is not int:
                 raise ValueError(f"record {self.name!r}: {label} must be an integer, "
                                  f"got {value!r}")
         bad = []
-        v = self.seifert_matrix
-        if v is not None:
-            if self.sigma is not None:
-                computed = _seifert.signature(v)
-                if self.sigma != computed:
-                    bad.append(f"sigma: stored {self.sigma}, computed {computed}")
-            if self.arf is not None:
-                computed = _seifert.arf(v)
-                if self.arf != computed:
-                    bad.append(f"arf: stored {self.arf}, computed {computed}")
-            if self.alexander is not None:
-                computed = _seifert.alexander(v)
-                if normalize(self.alexander)[0] != normalize(computed)[0]:
-                    bad.append(f"alexander: stored {self.alexander} differs from "
-                               f"det(V - tV^T) = {computed} up to units")
+        delta, v = self.alexander, self.seifert_matrix
+        if delta is not None:
+            try:
+                check_alexander(delta)
+            except InvalidAlexanderError as exc:
+                bad.append(f"alexander: {exc}")
+                delta = None
+        if v is not None and self.sigma is not None:
+            computed = _seifert.signature(v)
+            if self.sigma != computed:
+                bad.append(f"sigma: stored {self.sigma}, computed {computed}")
+        if self.arf is not None and (delta is not None or v is not None):
+            computed = _seifert.arf_murasugi(delta) if delta is not None else _seifert.arf(v)
+            if self.arf != computed:
+                bad.append(f"arf: stored {self.arf}, computed {computed}")
+        if v is not None and delta is not None:
+            computed = _seifert.alexander(v)
+            if normalize(delta)[0] != normalize(computed)[0]:
+                bad.append(f"alexander: stored {delta} differs from "
+                           f"det(V - tV^T) = {computed} up to units")
         if self.arf is not None and self.arf not in (0, 1):
             bad.append(f"arf: {self.arf} is not in {{0, 1}}")
         if self.sigma is not None and self.sigma % 2:
@@ -275,24 +288,21 @@ def whitehead_double_record(params: WhiteheadParams, companion: KnotRecord) -> K
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-def _genus_cell(quantity: str):
-    """Parser of a genus cell: an interval that respects the quantity's floor."""
-    def parse(text: str) -> Interval:
-        iv = Interval.from_json(json.loads(text))
-        return getattr(GenusBounds(**{quantity: iv}), quantity)
-    return parse
+def _checked_cell(quantity: str, parse):
+    """Parser of an invariant cell that applies CompanionInvariants' check of that field."""
+    def cell(text: str):
+        return getattr(CompanionInvariants(**{quantity: parse(text)}), quantity)
+    return cell
 
 
+_INTEGER_INVARIANTS = ("tau", "epsilon", "nu", "s")
 _CELL_PARSERS = {
     "seifert": lambda s: SeifertMatrix.from_json(json.loads(s)),
-    "alexander": lambda s: LaurentPoly.from_terms(json.loads(s)),
+    "alexander": lambda s: check_alexander(LaurentPoly.from_terms(json.loads(s))),
     "signature": int,
     "arf": int,
-    "tau": int,
-    "epsilon": int,
-    "nu": int,
-    "s": int,
-    **{q: _genus_cell(q) for q in GENUS_FLOOR},
+    **{q: _checked_cell(q, int) for q in _INTEGER_INVARIANTS},
+    **{q: _checked_cell(q, lambda s: Interval.from_json(json.loads(s))) for q in GENUS_FLOOR},
 }
 
 # CSV fields named differently from the record field they fill
@@ -304,9 +314,11 @@ def ingest_csv(store: KnotStore, path, column_mapping: dict[str, str]):
 
     column_mapping maps record fields (name, seifert, alexander, signature,
     arf, tau, epsilon, nu, s, g4, gamma4, g3, gamma3) to CSV header names;
-    nothing is inferred.  Unparseable cells become absent fields and a
-    diagnostic; a stored value contradicting a computed one raises
-    InconsistentRecordError.  Returns (added record names, diagnostics).
+    nothing is inferred.  A cell that does not parse, breaks its field's
+    CompanionInvariants check or is not an Alexander polynomial becomes an
+    absent field and a diagnostic; a row whose nu clashes with its tau is
+    skipped with a diagnostic.  A stored value contradicting a computed one
+    raises InconsistentRecordError.  Returns (added record names, diagnostics).
     """
     unknown = set(column_mapping) - {"name", *_CELL_PARSERS}
     if unknown:
@@ -343,17 +355,19 @@ def ingest_csv(store: KnotStore, path, column_mapping: dict[str, str]):
             if not name:
                 diagnostics.append(f"row {row_num}: skipped, no name")
                 continue
+            try:  # every single-field check has passed, so this is the nu/tau check
+                invariants = CompanionInvariants(
+                    **{q: values.get(q) for q in (*_INTEGER_INVARIANTS, *GENUS_FLOOR)})
+            except ValueError as exc:
+                diagnostics.append(f"row {row_num}: nu: {exc}; row skipped")
+                continue
             record = KnotRecord(
                 name=name,
                 seifert_matrix=values.get("seifert"),
                 alexander=values.get("alexander"),
                 sigma=values.get("signature"),
                 arf=values.get("arf"),
-                invariants=CompanionInvariants(
-                    tau=values.get("tau"), epsilon=values.get("epsilon"),
-                    nu=values.get("nu"), s=values.get("s"),
-                    g4=values.get("g4"), gamma4=values.get("gamma4"),
-                    g3=values.get("g3"), gamma3=values.get("gamma3")),
+                invariants=invariants,
                 provenance=provenance,
             )
             store.add(record)

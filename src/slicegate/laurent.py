@@ -164,6 +164,11 @@ class LaurentPoly:
             raise ValueError("cannot evaluate a Laurent polynomial at 0")
         return sum((c * xf ** e for e, c in self._coeffs.items()), Fraction(0))
 
+    def at_pm1(self, x: int) -> int:
+        """Exact value at t = x for x = 1 or -1, a signed sum of the coefficients."""
+        assert x in (1, -1), f"at_pm1 takes 1 or -1, got {x}"
+        return sum(c * x ** (e % 2) for e, c in self._coeffs.items())
+
     def __repr__(self):
         return f"LaurentPoly({_fmt_terms((e, c) for e, c in self._coeffs.items())!r})"
 
@@ -256,6 +261,18 @@ def normalize(p: LaurentPoly) -> tuple[IntPoly, Unit]:
         sign = -1
         cs = [-c for c in cs]
     return IntPoly(cs), Unit(sign, m)
+
+
+def check_alexander(p: LaurentPoly) -> LaurentPoly:
+    """p itself if p(1) = +/-1 and p(1/t) = +/-t^k p(t), else InvalidAlexanderError."""
+    at_one = p.at_pm1(1)
+    if at_one not in (1, -1):
+        raise InvalidAlexanderError(f"Delta(1) = {at_one}, expected +/-1")
+    cs = p.coeffs
+    top = min(cs) + max(cs)  # the sign is +: p(1) != 0 rules out p(1/t) = -t^k p(t)
+    if any(cs.get(top - e) != c for e, c in cs.items()):
+        raise InvalidAlexanderError(f"{p} is not symmetric under t -> 1/t up to +/-t^k")
+    return p
 
 
 # -- dense helpers on raw coefficient lists ---------------------------------
@@ -503,10 +520,10 @@ def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
     """
     if not p:
         raise InvalidAlexanderError("the zero polynomial is not an Alexander polynomial")
-    v1 = p.evaluate(1)
-    if v1 != 1 and v1 != -1:
+    v1 = p.at_pm1(1)
+    if v1 not in (1, -1):
         raise InvalidAlexanderError(f"p(1) = {v1}, expected +/-1")
-    det = abs(int(p.evaluate(-1)))
+    det = abs(p.at_pm1(-1))
     r = math.isqrt(det)
     if det % 2 == 0 or r * r != det:
         return FoxMilnorResult(False, reason=f"|p(-1)| = {det} is not an odd perfect square")

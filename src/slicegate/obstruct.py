@@ -38,27 +38,6 @@ def yasuhara(sigma: int, arf: int) -> bool:
     return (sigma + 4 * arf) % 8 == 4
 
 
-def band_move_bound(target: GenusBounds, source_gamma4_hi: int) -> GenusBounds:
-    """Propagate gamma4 across one non-orientable band move.
-
-    A band move changes gamma4 by at most one, so the target inherits
-    gamma4 <= source + 1.  Pass 0 for a smoothly slice source: by the
-    slice clause of the band-move rule, the target then bounds a Moebius
-    band and gamma4 is exactly [1, 1].
-    """
-    if source_gamma4_hi < 0:
-        raise ValueError("source bound must be a nonnegative integer")
-    incoming = Interval(1, source_gamma4_hi + 1)
-    current = target.gamma4 if target.gamma4 is not None else Interval(1, None)
-    try:
-        merged = current.meet(incoming)
-    except ValueError:
-        raise InconsistentBoundsError(
-            f"band move gives gamma4 <= {source_gamma4_hi + 1}, but the target already "
-            f"has gamma4 >= {current.lo}") from None
-    return GenusBounds(g4=target.g4, gamma4=merged, g3=target.g3, gamma3=target.gamma3)
-
-
 # ---------------------------------------------------------------------------
 # fact extraction
 
@@ -86,10 +65,10 @@ def _facts_from_record(record: "KnotRecord") -> _Facts:
     if v is not None:
         if sigma is None:
             sigma = _seifert.signature(v)
-        if arf_val is None:
-            arf_val = _seifert.arf(v)
         if delta is None:
             delta = _seifert.alexander(v)
+        if arf_val is None:
+            arf_val = _seifert.arf_murasugi(delta)
     fm = fox_milnor(delta) if delta is not None else None
     inv = record.invariants
     ups = inv.upsilon

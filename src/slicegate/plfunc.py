@@ -155,12 +155,6 @@ def cable_sandwich(f: PLFunction, p: int, q: int) -> tuple[PLFunction, PLFunctio
     return lower, upper
 
 
-def two_q_corollary_check(upsilon_cable, q: int) -> bool:
-    """Whether |v(K_{2,q}) + q/2| <= 1 holds for the proposed cable upsilon."""
-    lo, hi = two_q_upsilon_interval(q)
-    return lo <= _frac(upsilon_cable) <= hi
-
-
 def two_q_upsilon_interval(q: int) -> tuple[Fraction, Fraction]:
     """The interval [-q/2 - 1, -q/2 + 1] that v(K_{2,q}) must lie in."""
     if q % 2 == 0:

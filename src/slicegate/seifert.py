@@ -6,7 +6,8 @@ elimination gives the signature of V + V^T and, through an integer real
 form taken on the same arc of the unit circle, every Levine-Tristram
 signature; the Arf invariant follows from the determinant by Levine's
 criterion, and the Alexander polynomial is recovered by integer
-determinant interpolation.
+determinant interpolation.  The signature and the Alexander polynomial are
+each computed at most once per matrix: the first call stores them on it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bounds import GenusBounds, Interval
-from .laurent import (InvalidAlexanderError, LaurentPoly, _interpolate, _lagrange_basis,
-                      _poly_div_exact, _poly_eval, _poly_mul, normalize)
+from .laurent import (LaurentPoly, _interpolate, _lagrange_basis, _poly_div_exact, _poly_eval,
+                      _poly_mul, check_alexander, normalize)
 from .plfunc import _frac
 
 
@@ -30,9 +31,10 @@ class SeifertMatrix:
 
     The 0x0 matrix is the Seifert matrix of the unknot.  Instances are
     immutable; all invariant computations are pure functions of them.
+    signature() and alexander() keep their results in _sigma and _delta.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_sigma", "_delta")
 
     def __init__(self, entries):
         try:
@@ -50,6 +52,7 @@ class SeifertMatrix:
             if d not in (1, -1):
                 raise NotASeifertMatrixError(f"det(V - V^T) = {d}, expected +/-1")
         self._rows = rows
+        self._sigma = self._delta = None
 
     @property
     def n(self) -> int:
@@ -156,8 +159,10 @@ def _signature_int(a) -> int:
 
 
 def signature(v: SeifertMatrix) -> int:
-    """Signature of V + V^T, computed exactly; always even."""
-    return _signature_int(v.symmetrized())
+    """Signature of V + V^T, computed exactly once per matrix; always even."""
+    if v._sigma is None:
+        v._sigma = _signature_int(v.symmetrized())
+    return v._sigma
 
 
 def determinant(v: SeifertMatrix) -> int:
@@ -171,10 +176,11 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
     det(V - t V^T) is palindromic over the full exponent range [0, n] for
     any even-size integer matrix, so dividing by t^(n/2) yields a Laurent
     polynomial fixed by t -> t^-1; the sign is chosen so the value at 1 is 1.
+    It is computed once per matrix.
     """
+    if v._delta is not None:
+        return v._delta
     n = v.n
-    if n == 0:
-        return LaurentPoly.one()
     rows = v.entries
     xs = [0] + [sign * k for k in range(1, n // 2 + 1) for sign in (1, -1)]
     dets = [_det_int([[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)])
@@ -183,9 +189,10 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
     assert cs is not None and cs == cs[::-1], "det(V - tV^T) must be palindromic on [0, n]"
     half = n // 2
     poly = LaurentPoly({e - half: c for e, c in enumerate(cs)})
-    at_one = int(poly.evaluate(1))
+    at_one = poly.at_pm1(1)
     assert at_one in (1, -1)
-    return poly if at_one == 1 else -poly
+    v._delta = poly if at_one == 1 else -poly
+    return v._delta
 
 
 def arf(v: SeifertMatrix) -> int:
@@ -198,12 +205,11 @@ def arf(v: SeifertMatrix) -> int:
 
 
 def arf_murasugi(delta: LaurentPoly) -> int:
-    """Arf invariant from the Alexander polynomial: 0 iff Delta(-1) = +/-1 mod 8."""
-    at_one = delta.evaluate(1)
-    if at_one != 1 and at_one != -1:
-        raise InvalidAlexanderError(f"Delta(1) = {at_one}, expected +/-1")
-    residue = int(delta.evaluate(-1)) % 8
-    return 0 if residue in (1, 7) else 1
+    """Arf invariant from the Alexander polynomial: 0 iff Delta(-1) = +/-1 mod 8.
+
+    Raises InvalidAlexanderError when delta cannot be an Alexander polynomial.
+    """
+    return 0 if check_alexander(delta).at_pm1(-1) % 8 in (1, 7) else 1
 
 
 # -- Levine-Tristram ---------------------------------------------------------
@@ -217,14 +223,6 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
         if m % d == 0:
             poly = _poly_div_exact(poly, _cyclotomic(d))
     return tuple(poly)
-
-
-def _omega_fraction(omega) -> Fraction:
-    """The angle p/q of omega = e^(2*pi*i*p/q), reduced into (0, 1)."""
-    w = _frac(omega) % 1
-    if w == 0:
-        raise ValueError("omega = 1 is excluded from the Levine-Tristram signature")
-    return w
 
 
 def _trace_poly(delta: LaurentPoly) -> list[int]:
@@ -360,21 +358,16 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     as half the signature of the integer form [[aS, bA], [-bA, aS]].
     Conjugate angles have equal signatures, and p/q = 1/2 is the signature.
     """
-    return _levine_tristram(v, omega, None)
-
-
-def _levine_tristram(v: SeifertMatrix, omega, delta: LaurentPoly | None) -> int | None:
-    """levine_tristram with delta = alexander(v) given, or None to compute it when needed."""
-    w = _omega_fraction(omega)
-    if w > Fraction(1, 2):
-        w = 1 - w
+    w = _frac(omega) % 1
+    if w == 0:
+        raise ValueError("omega = 1 is excluded from the Levine-Tristram signature")
+    w = min(w, 1 - w)
     if w == Fraction(1, 2):  # never singular: Delta(-1) = +/-det(V + V^T) is odd
         return signature(v)
     n = v.n
     if n == 0:
         return 0
-    if delta is None:
-        delta = alexander(v)
+    delta = alexander(v)
     delta_poly, _ = normalize(delta)
     # Phi_q has degree phi(q) >= sqrt(q/2), so it cannot divide Delta when q > 2 deg^2
     if (w.denominator <= 2 * delta_poly.degree ** 2

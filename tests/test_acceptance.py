@@ -16,7 +16,7 @@ from slicegate.bounds import Interval
 from slicegate.knotdb import seed_table, whitehead_double_record
 from slicegate.laurent import LaurentPoly, fox_milnor
 from slicegate.obstruct import aggregate
-from slicegate.plfunc import (PLFunction, cable_sandwich, two_q_corollary_check,
+from slicegate.plfunc import (PLFunction, cable_sandwich, two_q_upsilon_interval,
                               upsilon_little)
 from slicegate.seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf,
                                arf_murasugi, signature)
@@ -123,7 +123,8 @@ def test_criterion_07_cobordism_arithmetic():
             q = rng.choice([-7, -5, -3, -1, 1, 3, 5, 7])
             # premise 1: |v1 + q/2| <= 1
             v1 = -Fraction(q, 2) + Fraction(rng.randint(-8, 8), 8)
-            assert two_q_corollary_check(v1, q)
+            lo, hi = two_q_upsilon_interval(q)
+            assert lo <= v1 <= hi
             # premise 2: |v0 - v1 + e/4| <= 1/2
             e = rng.randint(-12, 12)
             v0 = v1 - Fraction(e, 4) + Fraction(rng.randint(-4, 4), 8)
@@ -137,8 +138,9 @@ def test_criterion_08_cable_sandwich():
         lower, upper = cable_sandwich(PLFunction.zero(), 2, 1)
         assert lower == PLFunction([(0, 0), (1, -1)])
         assert upper == PLFunction([(0, 0), (1, 0)])
+        lo, hi = two_q_upsilon_interval(1)
         for f in (lower, upper):
-            assert two_q_corollary_check(upsilon_little(f), 1)
+            assert lo <= upsilon_little(f) <= hi
 
 
 def test_criterion_09_signature_oracle_equivalence():

@@ -2,16 +2,20 @@
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
 
 import pytest
+from conftest import make_valid_seifert
 from jsonschema import validate
 
 import slicegate
 from slicegate import seifert as _seifert
 from slicegate.cli import main
+from slicegate.knotdb import KnotRecord
+from slicegate.obstruct import aggregate
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(slicegate.__file__)))
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -217,6 +221,16 @@ def test_import_and_show_roundtrip(tmp_path, capsys):
     assert "new_knot" in out and "[[-1, 1], [0, 2]]" in out
 
 
+def test_import_keeps_the_rest_of_a_table_past_a_bad_invariant(tmp_path, capsys):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("knot,epsilon\nbad,2\ngood,1\n", encoding="utf-8")
+    code, out, err = run(capsys, "import", "--csv", str(csv_path), "--map", "name=knot",
+                         "--map", "epsilon=epsilon", "--save", str(tmp_path / "store.json"))
+    assert (code, err) == (0, "")
+    assert "imported 2 record(s): bad, good" in out
+    assert "diagnostic: row 2: epsilon: unparseable cell '2'" in out
+
+
 def test_store_env_variable(tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "t.csv"
     csv_path.write_text('knot,matrix\nenv_knot,"[[-1,1],[0,1]]"\n', encoding="utf-8")
@@ -322,20 +336,79 @@ def test_readme_tour(tmp_path, capsys, monkeypatch):
             json.loads(out)
 
 
-def test_invariants_computes_alexander_once(capsys, monkeypatch):
+def count_kernels(monkeypatch):
+    """Record each call of seifert's exact kernels as (kernel, size of its input).
+
+    One Alexander polynomial is one _interpolate call over n + 1 determinants;
+    one signature of V + V^T is one _signature_int call of size n.
+    """
     calls = []
-    alexander = _seifert.alexander
+    for name in ("_det_int", "_signature_int", "_interpolate"):
+        def counted(*args, _name=name, _kernel=getattr(_seifert, name)):
+            calls.append((_name, len(args[-1])))
+            return _kernel(*args)
+        monkeypatch.setattr(_seifert, name, counted)
+    return calls
 
-    def counting_alexander(v):
-        calls.append(v)
-        return alexander(v)
 
-    monkeypatch.setattr(_seifert, "alexander", counting_alexander)
+def test_invariants_computes_alexander_once(capsys, monkeypatch):
+    calls = count_kernels(monkeypatch)
     code, out, _ = run(capsys, "invariants", "4_1", "--omega", "1/3", "--omega", "2/5",
                        "--json")
     assert code == 0
     assert len(json.loads(out)["levine_tristram"]) == 2
-    assert len(calls) == 1
+    assert sum(name == "_interpolate" for name, _ in calls) == 1
+
+
+def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch):
+    n = 8
+    entries = make_valid_seifert(random.Random(12), n)
+    sigma = _seifert.signature(_seifert.SeifertMatrix(entries))
+    path = tmp_path / "m8.json"
+    path.write_text(json.dumps({"n": n, "entries": entries}), encoding="utf-8")
+    calls = count_kernels(monkeypatch)
+    # one V - V^T check, one sigma, one Delta (n + 1 determinants); Arf and the
+    # determinant come from Delta(-1), and each omega adds one signature of size 2n
+    one_pass = sorted([("_det_int", n)] * (n + 2)
+                      + [("_interpolate", n + 1), ("_signature_int", n)])
+
+    record = KnotRecord(name="k", seifert_matrix=_seifert.SeifertMatrix(entries), sigma=sigma)
+    aggregate(record.validate())
+    assert sorted(calls) == one_pass
+
+    # the CLI also loads the seed table, whose matrices are 2 x 2
+    calls.clear()
+    code, _, _ = run(capsys, "invariants", "--matrix-file", str(path),
+                     "--omega", "1/3", "--omega", "2/5")
+    assert code == 0
+    assert sorted(c for c in calls if c[1] >= n) == sorted(
+        one_pass + [("_signature_int", 2 * n)] * 2)
+
+    calls.clear()
+    code, _, _ = run(capsys, "obstruct", "--matrix-file", str(path))
+    assert code == 0
+    assert sorted(c for c in calls if c[1] >= n) == one_pass
+
+
+def test_closed_stdout_ends_quietly_with_the_commands_exit_code(tmp_path):
+    # about 180 KB of reports, well past a pipe buffer, so the writer meets the closed pipe
+    records = [{"name": f"k{i:03d}", "sigma": 2, "arf": 0} for i in range(400)]
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps({"format_version": 1, "records": records}), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slicegate.cli", "obstruct", "--all", "--fail-on-obstruction",
+         "--store", str(path)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1  # obstructed, as without the pipe
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first == b"knot: k000\n"
+    assert err == b""
 
 
 def test_runtime_needs_no_numpy():

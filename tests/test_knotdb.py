@@ -56,6 +56,19 @@ def test_record_validation_catches_mismatches():
                    alexander=LaurentPoly.one()).validate()
 
 
+def test_record_validation_checks_stored_alexander_and_arf():
+    fig8 = LaurentPoly({1: -1, 0: 3, -1: -1})  # Delta(-1) = 5, so Arf = 1
+    for delta in (LaurentPoly({0: 2}), LaurentPoly({1: -1, 0: 2}), LaurentPoly()):
+        with pytest.raises(InconsistentRecordError) as err:
+            KnotRecord(name="k", alexander=delta).validate()
+        assert "alexander" in str(err.value)
+    with pytest.raises(InconsistentRecordError) as err:
+        KnotRecord(name="k", alexander=fig8, arf=0).validate()
+    assert "arf: stored 0, computed 1" in str(err.value)
+    KnotRecord(name="k", alexander=fig8, arf=1).validate()
+    KnotRecord(name="k", alexander=-fig8 * LaurentPoly({3: 1}), arf=1).validate()
+
+
 def test_duplicate_names_rejected():
     store = KnotStore()
     store.add(KnotRecord(name="k"))
@@ -116,6 +129,41 @@ def test_ingest_csv_genus_cell_below_floor_becomes_diagnostic(tmp_path):
     ]
     assert store.lookup("k1").invariants.g4 is None
     assert store.lookup("k2").invariants.gamma4 is None
+
+
+def test_ingest_csv_invariant_check_failures_become_diagnostics(tmp_path):
+    path = tmp_path / "checks.csv"
+    path.write_text('knot,tau,epsilon,nu,s\nk1,,2,,\nk2,,,,1\nk3,1,,3,\nk4,1,1,2,-2\n',
+                    encoding="utf-8")
+    store = KnotStore()
+    added, diagnostics = ingest_csv(store, path, {f: f for f in ("tau", "epsilon", "nu", "s")}
+                                    | {"name": "knot"})
+    assert added == ["k1", "k2", "k4"]
+    assert diagnostics == [
+        "row 2: epsilon: unparseable cell '2' (epsilon must be in {-1, 0, 1}, got 2)",
+        "row 3: s: unparseable cell '1' (the s invariant is even, got 1)",
+        "row 4: nu: nu = 3 must be tau or tau + 1 (tau = 1); row skipped",
+    ]
+    assert store.lookup("k1").invariants.epsilon is None
+    assert store.lookup("k2").invariants.s is None
+    assert store.lookup("k4").invariants.nu == 2
+
+
+def test_ingest_csv_checks_alexander_cells_and_arf(tmp_path):
+    path = tmp_path / "delta.csv"
+    path.write_text('knot,delta,arf\nk1,"[[2,0]]",\nk2,"[[-1,-1],[3,0],[-1,1]]",1\n',
+                    encoding="utf-8")
+    store = KnotStore()
+    added, diagnostics = ingest_csv(store, path, {"name": "knot", "alexander": "delta",
+                                                  "arf": "arf"})
+    assert added == ["k1", "k2"]
+    assert diagnostics == [
+        "row 2: alexander: unparseable cell '[[2,0]]' (Delta(1) = 2, expected +/-1)"]
+    assert store.lookup("k1").alexander is None
+    path.write_text('knot,delta,arf\nk1,"[[-1,-1],[3,0],[-1,1]]",0\n', encoding="utf-8")
+    with pytest.raises(InconsistentRecordError) as err:
+        ingest_csv(KnotStore(), path, {"name": "knot", "alexander": "delta", "arf": "arf"})
+    assert "arf: stored 0, computed 1" in str(err.value)
 
 
 def test_ingest_csv_mapping_validated(tmp_path):

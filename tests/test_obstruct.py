@@ -5,11 +5,10 @@ import json
 import pytest
 
 from conftest import golden_corpus
-from slicegate.bounds import GenusBounds, Interval
+from slicegate.bounds import Interval
 from slicegate.knotdb import KnotRecord, seed_table, whitehead_double_record
 from slicegate.laurent import LaurentPoly
-from slicegate.obstruct import (InconsistentBoundsError, aggregate, band_move_bound,
-                                yasuhara)
+from slicegate.obstruct import InconsistentBoundsError, aggregate, yasuhara
 from slicegate.whitehead import CompanionInvariants, WhiteheadParams, gamma4_whitehead
 from slicegate import obstruct as obstruct_mod
 
@@ -31,16 +30,6 @@ def test_yasuhara_mod8_invariance():
     for sigma in range(-16, 17, 2):
         for a in (0, 1):
             assert yasuhara(sigma, a) == yasuhara(sigma + 8, a) == yasuhara(sigma - 8, a)
-
-
-def test_band_move_bound():
-    start = GenusBounds(gamma4=Interval(1, None))
-    assert band_move_bound(start, 0).gamma4 == Interval(1, 1)  # slice source
-    assert band_move_bound(start, 1).gamma4 == Interval(1, 2)
-    assert band_move_bound(start, 3).gamma4 == Interval(1, 4)
-    tight = GenusBounds(gamma4=Interval(2, 2))
-    with pytest.raises(InconsistentBoundsError):
-        band_move_bound(tight, 0)
 
 
 def test_aggregate_figure_eight():

@@ -7,8 +7,8 @@ import pytest
 
 from slicegate.plfunc import (CobordismCheck, PLFunction, cable_sandwich,
                               cobordism_inequality, euler_number_range, g4_lower_bound,
-                              oss_gamma4_lower_bound, two_q_corollary_check,
-                              two_q_upsilon_interval, upsilon_little)
+                              oss_gamma4_lower_bound, two_q_upsilon_interval,
+                              upsilon_little)
 
 TENT_DOWN = PLFunction([(0, 0), (1, -1), (2, 0)])
 TENT_UP = PLFunction([(0, 0), (1, 1), (2, 0)])
@@ -114,11 +114,14 @@ def test_cable_sandwich_order_property():
 
 
 def test_two_q_corollary_check():
-    assert two_q_corollary_check(Fraction(-1, 2), 1)
-    assert not two_q_corollary_check(1, 1)
-    assert two_q_corollary_check(Fraction(-1, 2), -1)
+    # the corollary |v(K_{2,q}) + q/2| <= 1 is membership in two_q_upsilon_interval(q)
+    lo, hi = two_q_upsilon_interval(1)
+    assert lo <= Fraction(-1, 2) <= hi
+    assert not lo <= 1 <= hi
+    lo, hi = two_q_upsilon_interval(-1)
+    assert lo <= Fraction(-1, 2) <= hi
     with pytest.raises(ValueError):
-        two_q_corollary_check(0, 2)
+        two_q_upsilon_interval(2)
 
 
 def test_two_q_upsilon_interval():

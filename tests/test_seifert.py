@@ -1,7 +1,9 @@
 """Seifert matrix invariants: signature, Alexander, Arf, Levine-Tristram, bounds."""
 
+import copy
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -288,3 +290,17 @@ def test_genus_bounds_from_matrix():
     assert gb.gamma4 == Interval(1, 3)
     assert genus_bounds_from_matrix(UNKNOT).g4 == Interval(0, 0)
     assert genus_bounds_from_matrix(V_FIG8).g4 == Interval(0, 1)
+
+
+def test_memo_keeps_equality_hash_pickle_and_deepcopy():
+    entries = make_valid_seifert(random.Random(8), 6)
+    v, fresh = SeifertMatrix(entries), SeifertMatrix(entries)
+    sigma, delta = signature(v), alexander(v)
+    assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+    assert v.to_json() == fresh.to_json()
+    copies = [pickle.loads(pickle.dumps(v, protocol))
+              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)] + [copy.deepcopy(v)]
+    for other in copies:
+        assert other == v == fresh and hash(other) == hash(v)
+        assert signature(other) == sigma and alexander(other) == delta
+    assert signature(fresh) == sigma and alexander(fresh) == delta
