@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .laurent import _wire_int
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -21,11 +23,11 @@ class Interval:
 
     @classmethod
     def from_json(cls, obj) -> "Interval":
-        if isinstance(obj, int):
+        if isinstance(obj, int) and not isinstance(obj, bool):
             return cls(obj, obj)
         try:
             lo, hi = obj
-            return cls(int(lo), None if hi is None else int(hi))
+            return cls(_wire_int(lo), None if hi is None else _wire_int(hi))
         except TypeError:
             raise ValueError(f"an interval is an integer or [lo, hi], got {obj!r}") from None
 

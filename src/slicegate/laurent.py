@@ -10,6 +10,7 @@ Fox-Milnor condition needs exact irreducible factors, not numerical roots.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,11 @@ from typing import Iterable, Mapping, NamedTuple
 
 class InvalidAlexanderError(ValueError):
     """The polynomial cannot be an Alexander polynomial (requires p(1) = +/-1)."""
+
+
+def _wire_int(x) -> int:
+    """x as an int for decoders: a bool, float or string is a TypeError, not rounded or parsed."""
+    return operator.index(None if isinstance(x, bool) else x)
 
 
 def _fmt_terms(pairs):
@@ -72,7 +78,7 @@ class LaurentPoly:
         last = None
         try:
             for item in terms:
-                c, e = (int(x) for x in item)
+                c, e = (_wire_int(x) for x in item)
                 if last is not None and e <= last:
                     raise ValueError("term exponents must be strictly increasing")
                 last = e

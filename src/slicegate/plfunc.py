@@ -20,8 +20,8 @@ def _frac(x) -> Fraction:
     string with an exponent: Fraction('1e-9999999') would build 10^9999999.
     """
     try:
-        if isinstance(x, (tuple, list)) and len(x) == 2:
-            return Fraction(int(x[0]), int(x[1]))
+        if isinstance(x, (tuple, list)) and len(x) == 2 and bool not in map(type, x):
+            return Fraction(*x)  # a float or string in the pair is a TypeError
         exponent = isinstance(x, str) and ("e" in x or "E" in x)
         if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool) and not exponent:
             return Fraction(x)

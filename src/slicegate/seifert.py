@@ -5,8 +5,8 @@ Everything is exact integer arithmetic.  One fraction-free symmetric
 elimination gives the signature of V + V^T and, through an integer real
 form taken on the same arc of the unit circle, every Levine-Tristram
 signature; the Arf invariant follows from the determinant by Levine's
-criterion, and the Alexander polynomial is recovered by integer
-determinant interpolation.  The signature and the Alexander polynomial are
+criterion, and the Alexander polynomial is interpolated exactly from n/2
+determinants of V - t V^T.  The signature and the Alexander polynomial are
 each computed at most once per matrix: the first call stores them on it.
 """
 
@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bounds import GenusBounds, Interval
-from .laurent import (LaurentPoly, _interpolate, _lagrange_basis, _poly_div_exact, _poly_eval,
-                      _poly_mul, check_alexander, normalize)
+from .laurent import (LaurentPoly, _poly_div_exact, _poly_eval, _poly_mul, _wire_int,
+                      check_alexander, normalize)
 from .plfunc import _frac
 
 
@@ -38,7 +38,7 @@ class SeifertMatrix:
 
     def __init__(self, entries):
         try:
-            rows = tuple(tuple(int(x) for x in row) for row in entries)
+            rows = tuple(tuple(_wire_int(x) for x in row) for row in entries)
         except TypeError:
             raise NotASeifertMatrixError("entries must be rows of integers") from None
         n = len(rows)
@@ -46,13 +46,10 @@ class SeifertMatrix:
             raise NotASeifertMatrixError("matrix is not square")
         if n % 2:
             raise NotASeifertMatrixError(f"size {n} is odd; Seifert matrices have even size")
-        if n:
-            skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
-            d = _det_int(skew)
-            if d not in (1, -1):
-                raise NotASeifertMatrixError(f"det(V - V^T) = {d}, expected +/-1")
         self._rows = rows
         self._sigma = self._delta = None
+        if n and (d := _det_int(self.pencil(1))) not in (1, -1):
+            raise NotASeifertMatrixError(f"det(V - V^T) = {d}, expected +/-1")
 
     @property
     def n(self) -> int:
@@ -62,9 +59,10 @@ class SeifertMatrix:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
 
-    def symmetrized(self) -> list[list[int]]:
-        n = self.n
-        return [[self._rows[i][j] + self._rows[j][i] for j in range(n)] for i in range(n)]
+    def pencil(self, t: int) -> list[list[int]]:
+        """V - t V^T as integer rows: V + V^T at t = -1 and V - V^T at t = 1."""
+        rows, n = self._rows, self.n
+        return [[rows[i][j] - t * rows[j][i] for j in range(n)] for i in range(n)]
 
     def __eq__(self, other):
         if isinstance(other, SeifertMatrix):
@@ -87,8 +85,8 @@ class SeifertMatrix:
         if "entries" not in obj:
             raise NotASeifertMatrixError("Seifert matrix document has no 'entries'")
         v = cls(obj["entries"])
-        if "n" in obj and obj["n"] != v.n:
-            raise NotASeifertMatrixError("declared size disagrees with the entry rows")
+        if type(obj.get("n", v.n)) is not int or obj.get("n", v.n) != v.n:
+            raise NotASeifertMatrixError("declared size is not the size of the entry rows")
         return v
 
 
@@ -161,37 +159,48 @@ def _signature_int(a) -> int:
 def signature(v: SeifertMatrix) -> int:
     """Signature of V + V^T, computed exactly once per matrix; always even."""
     if v._sigma is None:
-        v._sigma = _signature_int(v.symmetrized())
+        v._sigma = _signature_int(v.pencil(-1))
     return v._sigma
 
 
 def determinant(v: SeifertMatrix) -> int:
     """The knot determinant |det(V + V^T)| = |Delta(-1)|."""
-    return abs(_det_int(v.symmetrized()))
+    return abs(_det_int(v.pencil(-1)))
+
+
+def _half_interpolate(ts, dets) -> LaurentPoly:
+    """t^-h D(t) for a palindromic D of degree 2h from D(0) = dets[0] and D(ts) = dets[1:].
+
+    t^-h D(t) = P(t + 1/t) with deg P = h and leading coefficient D(0).  Newton
+    divided differences in s = t + 1/t on P(s) - D(0) s^h at the h distinct
+    nonzero integers ts give the rest of P in O(h^2) exact steps; P must be integral.
+    """
+    h, lead = len(ts), dets[0]
+    ss = [Fraction(t * t + 1, t) for t in ts]
+    d = [Fraction(y, t ** h) - lead * s ** h for t, s, y in zip(ts, ss, dets[1:])]
+    for k in range(1, h):
+        d[k:] = [(d[i] - d[i - 1]) / (ss[i] - ss[i - k]) for i in range(k, h)]
+    p = [Fraction(0)] * h  # Horner on the Newton form, ascending in s
+    for k in range(h - 1, -1, -1):
+        p = [a - ss[k] * b for a, b in zip([d[k]] + p[:-1], p)]
+    assert all(c.denominator == 1 for c in p), "P(t + 1/t) = t^-h D(t) must be integral"
+    return sum(LaurentPoly({k - 2 * j: int(c) * math.comb(k, j) for j in range(k + 1)})
+               for k, c in enumerate(p + [lead]))
 
 
 def alexander(v: SeifertMatrix) -> LaurentPoly:
-    """Alexander polynomial det(V - t V^T) in centered symmetric form.
+    """Alexander polynomial det(V - t V^T) in centered symmetric form, computed once per matrix.
 
-    det(V - t V^T) is palindromic over the full exponent range [0, n] for
-    any even-size integer matrix, so dividing by t^(n/2) yields a Laurent
-    polynomial fixed by t -> t^-1; the sign is chosen so the value at 1 is 1.
-    It is computed once per matrix.
+    D(t) = det(V - t V^T) = t^n D(1/t) is t^(n/2) P(t + 1/t) with deg P = n/2, so
+    n/2 determinants fix it: det V at t = 0 and those at t = -1, 2, -2, 3, ...
+    D(1) = det(V - V^T) is free: it is +/-1 by construction and, as an integer
+    skew-symmetric determinant, a square, so Delta(1) = 1.
     """
-    if v._delta is not None:
-        return v._delta
-    n = v.n
-    rows = v.entries
-    xs = [0] + [sign * k for k in range(1, n // 2 + 1) for sign in (1, -1)]
-    dets = [_det_int([[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)])
-            for x in xs]
-    cs = _interpolate(*_lagrange_basis(xs), dets)
-    assert cs is not None and cs == cs[::-1], "det(V - tV^T) must be palindromic on [0, n]"
-    half = n // 2
-    poly = LaurentPoly({e - half: c for e, c in enumerate(cs)})
-    at_one = poly.at_pm1(1)
-    assert at_one in (1, -1)
-    v._delta = poly if at_one == 1 else -poly
+    if v._delta is None:
+        ts = [(-1) ** i * (i // 2 + 1) for i in range(v.n // 2)]
+        dets = [_det_int(v.entries)] + [1 if t == 1 else _det_int(v.pencil(t)) for t in ts]
+        v._delta = _half_interpolate(ts, dets)
+        assert v._delta.at_pm1(1) == 1, "Delta(1) = det(V - V^T) must be 1"
     return v._delta
 
 
@@ -201,7 +210,7 @@ def arf(v: SeifertMatrix) -> int:
     Levine's criterion: Arf is 0 exactly when det(V + V^T) = Delta(-1) is
     +/-1 mod 8, so one exact determinant decides it.
     """
-    return 0 if _det_int(v.symmetrized()) % 8 in (1, 7) else 1
+    return 0 if _det_int(v.pencil(-1)) % 8 in (1, 7) else 1
 
 
 def arf_murasugi(delta: LaurentPoly) -> int:
@@ -360,12 +369,11 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     """
     w = _frac(omega) % 1
     if w == 0:
-        raise ValueError("omega = 1 is excluded from the Levine-Tristram signature")
+        raise ValueError(f"omega = e^(2*pi*i*{omega}) = 1 is excluded from Levine-Tristram")
     w = min(w, 1 - w)
     if w == Fraction(1, 2):  # never singular: Delta(-1) = +/-det(V + V^T) is odd
         return signature(v)
-    n = v.n
-    if n == 0:
+    if v.n == 0:
         return 0
     delta = alexander(v)
     delta_poly, _ = normalize(delta)
@@ -375,10 +383,9 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
         return None
     u = _arc_point(delta, w)
     a, b = u.numerator, u.denominator
-    rows = v.entries
-    s = [[a * x for x in row] for row in v.symmetrized()]
-    t = [[b * (rows[i][j] - rows[j][i]) for j in range(n)] for i in range(n)]
-    form = [s[i] + t[i] for i in range(n)] + [[-x for x in t[i]] + s[i] for i in range(n)]
+    s = [[a * x for x in row] for row in v.pencil(-1)]
+    t = [[b * x for x in row] for row in v.pencil(1)]
+    form = [sr + tr for sr, tr in zip(s, t)] + [[-x for x in tr] + sr for sr, tr in zip(s, t)]
     return _signature_int(form) // 2
 
 

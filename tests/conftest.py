@@ -1,5 +1,6 @@
 """Shared helpers: random Seifert-matrix generators, the float signature and
-Levine-Tristram oracles, and the GF(2) Arf oracle."""
+Levine-Tristram oracles, the GF(2) Arf oracle and the full-interpolation
+Alexander oracle."""
 
 from __future__ import annotations
 
@@ -85,6 +86,26 @@ def float_levine_tristram(entries, omega, tol=1e-9):
     if (abs(eigs) <= tol).any():
         return None
     return int((eigs > tol).sum()) - int((eigs < -tol).sum())
+
+
+def alexander_full(entries):
+    """Independent oracle: det(V - tV^T) interpolated from all n + 1 values, centered.
+
+    Lagrange interpolation on t = 0, +/-1, ..., +/-n/2, with no use of the
+    palindromic symmetry; the result must come out integral and palindromic,
+    and its sign is chosen so the value at t = 1 is 1.
+    """
+    from slicegate.laurent import LaurentPoly, _interpolate, _lagrange_basis
+    from slicegate.seifert import _det_int
+
+    n = len(entries)
+    xs = [0] + [sign * k for k in range(1, n // 2 + 1) for sign in (1, -1)]
+    dets = [_det_int([[entries[i][j] - x * entries[j][i] for j in range(n)] for i in range(n)])
+            for x in xs]
+    cs = _interpolate(*_lagrange_basis(xs), dets)
+    assert cs is not None and cs == cs[::-1], "det(V - tV^T) must be palindromic on [0, n]"
+    poly = LaurentPoly({e - n // 2: c for e, c in enumerate(cs)})
+    return poly if poly.at_pm1(1) == 1 else -poly
 
 
 def arf_gf2(entries):

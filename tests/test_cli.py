@@ -160,6 +160,13 @@ def test_invariants_polynomial_only_record(capsys):
     assert code == 2 and "Levine-Tristram" in err
 
 
+@pytest.mark.parametrize("angle", ["0", "1"])
+def test_omega_one_error_names_the_given_angle(capsys, angle):
+    code, out, err = run(capsys, "invariants", "4_1", "--omega", angle)
+    assert code == 2 and out == ""
+    assert err == f"error: omega = e^(2*pi*i*{angle}) = 1 is excluded from Levine-Tristram\n"
+
+
 def test_obstruct_from_matrix_file(tmp_path, capsys):
     path = tmp_path / "pattern5.json"
     path.write_text(json.dumps({"n": 2, "entries": [[-1, 1], [0, 5]]}))
@@ -275,11 +282,19 @@ def test_exact_rational_output(capsys):
     (["euler-range", "--upsilon", "1e-9", "--q", "1"], None),
     (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-file", "{file}"],
      {"breakpoints": [[0, 0], ["1e-9", 0], [2, 0]]}),
+    (["invariants", "--matrix-file", "{file}"], {"n": 2, "entries": [[-1.9, 1], [0, 1.2]]}),
+    (["invariants", "--matrix-file", "{file}"], {"n": 2, "entries": [["-1", 1], [0, -1]]}),
+    (["invariants", "--matrix-file", "{file}"], {"n": 2, "entries": [[True, 1], [0, -1]]}),
+    (["obstruct", "--matrix-file", "{file}"], {"n": 2.0, "entries": [[-1, 1], [0, -1]]}),
+    (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-file", "{file}"],
+     {"breakpoints": [[0, 0], [[1.5, 1], -1], [2, 0]]}),
 ], ids=["omega-zero-denominator", "cobordism-zero-denominator",
         "euler-range-zero-denominator", "upsilon-file-zero-denominator",
         "matrix-file-without-entries", "matrix-file-entries-not-rows",
         "omega-exponent", "from-upsilon-exponent", "to-upsilon-exponent",
-        "euler-range-exponent", "upsilon-file-exponent"])
+        "euler-range-exponent", "upsilon-file-exponent", "matrix-file-float-entries",
+        "matrix-file-string-entries", "matrix-file-bool-entries", "matrix-file-float-size",
+        "upsilon-file-float-pair"])
 def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document):
     path = tmp_path / "input.json"
     if document is not None:
@@ -305,9 +320,13 @@ def _store_with(**fields):
     _store_with(invariants=[1]),
     _store_with(sigma="x"),
     _store_with(invariants={"upsilon": {"breakpoints": [[0, 0], ["1e-9", -1], [2, 0]]}}),
+    _store_with(seifert_matrix={"n": 2, "entries": [["-1", 1], [0, -1]]}),
+    _store_with(alexander=[[True, 0]]),
+    _store_with(invariants={"g4": ["0", 2]}),
 ], ids=["document-not-object", "records-not-list", "record-not-object", "record-without-name",
         "alexander-not-terms", "alexander-null-coefficient", "invariants-not-object",
-        "sigma-not-integer", "upsilon-breakpoint-exponent"])
+        "sigma-not-integer", "upsilon-breakpoint-exponent", "matrix-string-entries",
+        "alexander-bool-coefficient", "genus-string-bound"])
 def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
     path = tmp_path / "store.json"
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -337,15 +356,18 @@ def test_readme_tour(tmp_path, capsys, monkeypatch):
 
 
 def count_kernels(monkeypatch):
-    """Record each call of seifert's exact kernels as (kernel, size of its input).
+    """Record each call of seifert's exact kernels as (kernel, size of the matrix it serves).
 
-    One Alexander polynomial is one _interpolate call over n + 1 determinants;
-    one signature of V + V^T is one _signature_int call of size n.
+    One Alexander polynomial of an n x n matrix is n/2 determinants of size n
+    (t = 0, -1, 2, -2, ...; t = 1 is free) and one _half_interpolate call on
+    those values at n/2 points; one signature of V + V^T is one _signature_int
+    call of size n.
     """
     calls = []
-    for name in ("_det_int", "_signature_int", "_interpolate"):
-        def counted(*args, _name=name, _kernel=getattr(_seifert, name)):
-            calls.append((_name, len(args[-1])))
+    for name, size in (("_det_int", len), ("_signature_int", len),
+                       ("_half_interpolate", lambda ts: 2 * len(ts))):
+        def counted(*args, _name=name, _size=size, _kernel=getattr(_seifert, name)):
+            calls.append((_name, _size(args[0])))
             return _kernel(*args)
         monkeypatch.setattr(_seifert, name, counted)
     return calls
@@ -357,7 +379,7 @@ def test_invariants_computes_alexander_once(capsys, monkeypatch):
                        "--json")
     assert code == 0
     assert len(json.loads(out)["levine_tristram"]) == 2
-    assert sum(name == "_interpolate" for name, _ in calls) == 1
+    assert sum(name == "_half_interpolate" for name, _ in calls) == 1
 
 
 def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch):
@@ -367,10 +389,10 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     path = tmp_path / "m8.json"
     path.write_text(json.dumps({"n": n, "entries": entries}), encoding="utf-8")
     calls = count_kernels(monkeypatch)
-    # one V - V^T check, one sigma, one Delta (n + 1 determinants); Arf and the
+    # one V - V^T check, one sigma, one Delta (n/2 determinants); Arf and the
     # determinant come from Delta(-1), and each omega adds one signature of size 2n
-    one_pass = sorted([("_det_int", n)] * (n + 2)
-                      + [("_interpolate", n + 1), ("_signature_int", n)])
+    one_pass = sorted([("_det_int", n)] * (n // 2 + 1)
+                      + [("_half_interpolate", n), ("_signature_int", n)])
 
     record = KnotRecord(name="k", seifert_matrix=_seifert.SeifertMatrix(entries), sigma=sigma)
     aggregate(record.validate())

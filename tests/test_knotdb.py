@@ -116,6 +116,24 @@ def test_ingest_csv_unparseable_cell_becomes_diagnostic(tmp_path):
     assert store.lookup("k1").invariants.tau is None
 
 
+def test_ingest_csv_non_integer_cells_become_diagnostics(tmp_path):
+    path = tmp_path / "floats.csv"
+    path.write_text('knot,matrix,delta,g4\nk1,"[[-1.5,1],[0,2]]",,\nk2,,"[[1.7,0]]",\n'
+                    'k3,,,"[0.5, 2]"\n', encoding="utf-8")
+    store = KnotStore()
+    added, diagnostics = ingest_csv(store, path, {"name": "knot", "seifert": "matrix",
+                                                  "alexander": "delta", "g4": "g4"})
+    assert added == ["k1", "k2", "k3"]
+    assert [d.split(" (")[0] for d in diagnostics] == [
+        "row 2: seifert: unparseable cell '[[-1.5,1],[0,2]]'",
+        "row 3: alexander: unparseable cell '[[1.7,0]]'",
+        "row 4: g4: unparseable cell '[0.5, 2]'",
+    ]
+    assert store.lookup("k1").seifert_matrix is None
+    assert store.lookup("k2").alexander is None
+    assert store.lookup("k3").invariants.g4 is None
+
+
 def test_ingest_csv_genus_cell_below_floor_becomes_diagnostic(tmp_path):
     path = tmp_path / "floor.csv"
     path.write_text('knot,g4,gamma4\nk1,"[-1, 2]",\nk2,,"[0, 2]"\n', encoding="utf-8")

@@ -67,6 +67,15 @@ def test_evaluate_at_zero_rejected():
         T({1: 1}).evaluate(0)
 
 
+def test_from_terms_takes_only_integers():
+    import numpy as np
+
+    assert LaurentPoly.from_terms([[np.int64(2), 0], [1, 1]]) == T({0: 2, 1: 1})
+    for terms in ([[1.7, 0], [True, 1]], [[1, 0], [True, 1]], [["1", 0]], [[1, 0.0]]):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_terms(terms)
+
+
 def test_normalize():
     q, unit = normalize(T({1: -1, 0: 3, -1: -1}))
     assert q == IntPoly([1, -3, 1])

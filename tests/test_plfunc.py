@@ -27,6 +27,14 @@ def test_evaluate_domain_checked():
         TENT_DOWN(-1)
 
 
+def test_breakpoint_pairs_take_only_integers():
+    f = PLFunction([(0, 0), ([1, 2], [-1, 2]), (2, 0)])
+    assert f(Fraction(1, 2)) == Fraction(-1, 2)
+    for bad in ([1.5, 2], ["1", 2], [True, 2]):
+        with pytest.raises(ValueError):
+            PLFunction([(0, 0), (bad, 0), (2, 0)])
+
+
 def test_construction_canonicalizes_collinear_points():
     assert PLFunction([(0, 0), (1, 0), (2, 0)]) == PLFunction.zero()
     f = PLFunction([(0, 0), (Fraction(1, 2), Fraction(-1, 2)), (1, -1), (2, 0)])

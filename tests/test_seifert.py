@@ -8,15 +8,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (arf_gf2, float_levine_tristram, float_signature, make_invalid_seifert,
-                      make_valid_seifert)
+from conftest import (alexander_full, arf_gf2, float_levine_tristram, float_signature,
+                      make_invalid_seifert, make_valid_seifert)
 
 from slicegate.bounds import Interval
 from slicegate.cli import main
 from slicegate.laurent import InvalidAlexanderError, LaurentPoly, normalize
-from slicegate.seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf,
-                               arf_murasugi, determinant, genus_bounds_from_matrix,
-                               levine_tristram, signature)
+from slicegate.seifert import (NotASeifertMatrixError, SeifertMatrix, _half_interpolate,
+                               alexander, arf, arf_murasugi, determinant,
+                               genus_bounds_from_matrix, levine_tristram, signature)
 
 V_TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 V_FIG8 = SeifertMatrix([[1, 1], [0, -1]])
@@ -32,6 +32,19 @@ def test_validation_rejects():
         SeifertMatrix([[0, 1], [0, 0], [0, 0]])  # not square
     with pytest.raises(NotASeifertMatrixError):
         SeifertMatrix([[0, 2], [0, 0]])  # det(V - V^T) = 4
+
+
+def test_entries_must_be_integers():
+    import numpy as np
+
+    for entries in ([[-1.9, 1], [0, 1.2]], [["-1", 1], [0, -1]], [[True, 1], [0, -1]]):
+        with pytest.raises(NotASeifertMatrixError):
+            SeifertMatrix(entries)
+    with pytest.raises(NotASeifertMatrixError):
+        SeifertMatrix.from_json({"n": 2.0, "entries": [[-1, 1], [0, -1]]})
+    with pytest.raises(NotASeifertMatrixError):
+        SeifertMatrix.from_json({"n": True, "entries": [[-1, 1], [0, -1]]})
+    assert SeifertMatrix(np.array([[-1, 1], [0, -1]])) == V_TREFOIL
 
 
 def test_validation_random_matrices():
@@ -121,6 +134,29 @@ def test_alexander_examples():
     for b in (-3, 0, 1, 4):
         vb = SeifertMatrix([[-1, 1], [0, b]])
         assert alexander(vb) == LaurentPoly({1: -b, 0: 2 * b + 1, -1: -b})
+
+
+def test_alexander_matches_full_interpolation_oracle():
+    # n/2 determinants and the palindromic solve against all n + 1 values and Lagrange
+    rng = random.Random(2024)
+    cases = [make_valid_seifert(rng, n) for n in range(2, 26, 2) for _ in range(17)]
+    cases += [make_valid_seifert(rng, n) for n in (32, 40)]
+    assert len(cases) >= 200
+    for entries in cases:
+        v = SeifertMatrix(entries)
+        delta = alexander(v)
+        assert delta == alexander_full(entries), entries
+        assert delta.at_pm1(-1) in (determinant(v), -determinant(v))
+
+
+def test_half_interpolation_checks_integrality():
+    # D(t) = 2 - 5t + 2t^2 from D(0) = 2 and D(1) = -1
+    assert _half_interpolate([1], [2, -1]) == LaurentPoly({-1: 2, 0: -5, 1: 2})
+    # P(s) = (s - 1)^2 from P(2) = 1 and P(-2) = D(-1) = 9: the trefoil's Delta, squared
+    trefoil = LaurentPoly({-1: 1, 0: -1, 1: 1})
+    assert _half_interpolate([1, -1], [1, 1, 9]) == trefoil * trefoil
+    with pytest.raises(AssertionError):
+        _half_interpolate([1, -1], [1, 1, 6])  # P(s) = s^2 - 5s/4 + ... is not integral
 
 
 def test_alexander_2x2_expansion_oracle():
