@@ -18,8 +18,7 @@ from . import knotdb, plfunc
 from . import seifert as _seifert
 from . import whitehead as _wh
 from .knotdb import KnotRecord, KnotStore, UnknownKnotError
-from .laurent import fox_milnor
-from .obstruct import ObstructionReport, aggregate
+from .obstruct import ObstructionReport, aggregate, record_facts
 from .plfunc import CobordismCheck, PLFunction
 from .seifert import SeifertMatrix
 from .whitehead import WhiteheadParams
@@ -110,19 +109,17 @@ def _exit_for(args, obstructed: bool) -> int:
 
 def _cmd_invariants(args, store) -> int:
     record = _record_for(args, store)
-    v = record.seifert_matrix
-    delta = _seifert.alexander(v) if v is not None else record.alexander
+    facts = record_facts(record)
+    v, sigma, delta, fm = record.seifert_matrix, facts.sigma, facts.delta, facts.fm
     if delta is None:
         raise ValueError(f"record {record.name!r} carries no Seifert matrix "
                          "or Alexander polynomial")
     if v is None and args.omega:
         raise ValueError(f"record {record.name!r} has no Seifert matrix; "
                          "Levine-Tristram signatures need one")
-    sigma = _seifert.signature(v) if v is not None else record.sigma
-    arf_val = _seifert.arf_murasugi(delta)
+    arf_val = _seifert.arf_murasugi(delta)  # aggregate reads no Arf off a stored-only Delta
     det = abs(delta.at_pm1(-1))
     gb = _seifert.genus_bounds_from_matrix(v) if v is not None else None
-    fm = fox_milnor(delta)
     lt = []
     for angle in args.omega or []:
         val = _seifert.levine_tristram(v, angle)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import seifert as _seifert
 from . import whitehead as _wh
 from .bounds import GENUS_FLOOR, Interval
-from .laurent import InvalidAlexanderError, LaurentPoly, check_alexander, normalize
+from .laurent import InvalidAlexanderError, LaurentPoly, _wire_int, check_alexander, normalize
 from .plfunc import PLFunction
 from .seifert import SeifertMatrix
 from .whitehead import CompanionInvariants, WhiteheadParams
@@ -110,16 +110,17 @@ class KnotRecord:
         if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
             raise ValueError(f"a store record is a JSON object with a string 'name', "
                              f"got {obj!r}")
-        provenance = obj.get("provenance") or {}
+        provenance = {} if obj.get("provenance") is None else obj["provenance"]
         if not isinstance(provenance, dict):
             raise ValueError(f"record {obj['name']!r}: provenance must be a JSON object")
         return cls(
             name=obj["name"],
             seifert_matrix=(SeifertMatrix.from_json(obj["seifert_matrix"])
-                            if obj.get("seifert_matrix") else None),
+                            if obj.get("seifert_matrix") is not None else None),
             alexander=(LaurentPoly.from_terms(obj["alexander"])
                        if obj.get("alexander") is not None else None),
-            invariants=CompanionInvariants.from_json(obj.get("invariants") or {}),
+            invariants=CompanionInvariants.from_json(
+                {} if obj.get("invariants") is None else obj["invariants"]),
             sigma=obj.get("sigma"),
             arf=obj.get("arf"),
             provenance=dict(provenance),
@@ -295,13 +296,18 @@ def _checked_cell(quantity: str, parse):
     return cell
 
 
+def _int_cell(text: str) -> int:
+    """A JSON integer: int() would also read 1_0, +2 and non-ASCII digits."""
+    return _wire_int(json.loads(text))
+
+
 _INTEGER_INVARIANTS = ("tau", "epsilon", "nu", "s")
 _CELL_PARSERS = {
     "seifert": lambda s: SeifertMatrix.from_json(json.loads(s)),
     "alexander": lambda s: check_alexander(LaurentPoly.from_terms(json.loads(s))),
-    "signature": int,
-    "arf": int,
-    **{q: _checked_cell(q, int) for q in _INTEGER_INVARIANTS},
+    "signature": _int_cell,
+    "arf": _int_cell,
+    **{q: _checked_cell(q, _int_cell) for q in _INTEGER_INVARIANTS},
     **{q: _checked_cell(q, lambda s: Interval.from_json(json.loads(s))) for q in GENUS_FLOOR},
 }
 
@@ -415,7 +421,7 @@ def load(path) -> KnotStore:
     if not isinstance(doc, dict):
         raise ValueError("a store is a JSON object with 'format_version' and 'records'")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported store format_version {version!r}")
     records = doc.get("records", [])
     if not isinstance(records, list):

@@ -17,10 +17,11 @@ from typing import TYPE_CHECKING
 from . import seifert as _seifert
 from .bounds import GENUS_FLOOR, GenusBounds, Interval
 from .laurent import FoxMilnorResult, LaurentPoly, fox_milnor, normalize
-from .plfunc import PLFunction, g4_lower_bound, oss_gamma4_lower_bound, upsilon_little
+from .plfunc import g4_lower_bound, oss_gamma4_lower_bound, upsilon_little
 
 if TYPE_CHECKING:
     from .knotdb import KnotRecord
+    from .whitehead import CompanionInvariants
 
 _STORED_ANCHOR = "input invariant table"
 
@@ -39,51 +40,49 @@ def yasuhara(sigma: int, arf: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fact extraction
+# the fact builder
 
 
 @dataclass
-class _Facts:
+class Facts:
+    """The classical facts of one record; tau, nu and Upsilon are read from stored."""
+
     name: str
     sigma: int | None
     arf: int | None
     delta: LaurentPoly | None
     fm: FoxMilnorResult | None
-    tau: int | None
-    nu: int | None
-    upsilon: PLFunction | None
     upsilon_value: Fraction | None
     surface_genus: int | None
-    stored: GenusBounds
+    stored: "CompanionInvariants"
 
 
-def _facts_from_record(record: "KnotRecord") -> _Facts:
-    v = record.seifert_matrix
-    sigma = record.sigma
-    arf_val = record.arf
-    delta = record.alexander
-    if v is not None:
-        if sigma is None:
-            sigma = _seifert.signature(v)
-        if delta is None:
-            delta = _seifert.alexander(v)
+def record_facts(record: "KnotRecord") -> Facts:
+    """The classical facts of a record, each from the one source chosen here.
+
+    sigma and Delta come from the Seifert matrix when the record has one
+    (memo hits once validate() has checked any stored value against it), and
+    from the table otherwise.  Arf is the stored value, else Murasugi's reading
+    of the matrix's Delta, never of a Delta that is only stored.  Fox-Milnor
+    runs on Delta.
+    """
+    v, arf_val = record.seifert_matrix, record.arf
+    if v is None:
+        sigma, delta = record.sigma, record.alexander
+    else:
+        sigma, delta = _seifert.signature(v), _seifert.alexander(v)
         if arf_val is None:
             arf_val = _seifert.arf_murasugi(delta)
-    fm = fox_milnor(delta) if delta is not None else None
-    inv = record.invariants
-    ups = inv.upsilon
-    return _Facts(
+    ups = record.invariants.upsilon
+    return Facts(
         name=record.name,
         sigma=sigma,
         arf=arf_val,
         delta=delta,
-        fm=fm,
-        tau=inv.tau,
-        nu=inv.nu,
-        upsilon=ups,
+        fm=fox_milnor(delta) if delta is not None else None,
         upsilon_value=upsilon_little(ups) if ups is not None else None,
         surface_genus=v.n // 2 if v is not None else None,
-        stored=inv,
+        stored=record.invariants,
     )
 
 
@@ -121,44 +120,32 @@ def _rule_surface(f, lo, hi):
 
 
 def _rule_signature(f, lo, hi):
-    if f.sigma is None or f.sigma == 0:
-        return []
-    v = abs(f.sigma) // 2
-    return [("g4", "lo", v, f"|sigma|/2 = {v} <= g4")]
+    v = abs(f.sigma or 0) // 2
+    return [("g4", "lo", v, f"|sigma|/2 = {v} <= g4")] if v else []
 
 
 def _rule_arf(f, lo, hi):
-    if f.arf != 1:
-        return []
-    return [("g4", "lo", 1, "Arf = 1, so the knot is not smoothly slice")]
+    return [("g4", "lo", 1, "Arf = 1, so the knot is not smoothly slice")] if f.arf == 1 else []
 
 
 def _rule_fox_milnor(f, lo, hi):
-    if f.fm is None or f.fm.passes:
-        return []
-    return [("g4", "lo", 1, f"Fox-Milnor fails ({f.fm.reason})")]
+    fails = f.fm is not None and not f.fm.passes
+    return [("g4", "lo", 1, f"Fox-Milnor fails ({f.fm.reason})")] if fails else []
 
 
 def _rule_tau(f, lo, hi):
-    if not f.tau:
-        return []
-    v = abs(f.tau)
-    return [("g4", "lo", v, f"|tau| = {v} <= g4")]
+    v = abs(f.stored.tau or 0)
+    return [("g4", "lo", v, f"|tau| = {v} <= g4")] if v else []
 
 
 def _rule_nu(f, lo, hi):
-    if f.nu is None or f.nu <= 0:
-        return []
-    return [("g4", "lo", f.nu, f"nu = {f.nu} <= g4")]
+    nu = f.stored.nu or 0
+    return [("g4", "lo", nu, f"nu = {nu} <= g4")] if nu > 0 else []
 
 
 def _rule_upsilon(f, lo, hi):
-    if f.upsilon is None:
-        return []
-    v = g4_lower_bound(f.upsilon)
-    if v <= 0:
-        return []
-    return [("g4", "lo", v, f"max |Upsilon(s)|/s gives g4 >= {v}")]
+    v = g4_lower_bound(f.stored.upsilon) if f.stored.upsilon is not None else 0
+    return [("g4", "lo", v, f"max |Upsilon(s)|/s gives g4 >= {v}")] if v > 0 else []
 
 
 def _rule_yasuhara(f, lo, hi):
@@ -214,7 +201,8 @@ _RULES = (
      lambda f: (f"Fox-Milnor fails ({f.fm.reason}): not topologically slice"
                 if f.fm is not None and not f.fm.passes else None)),
     ("tau-bound", "Ozsvath-Szabo: |tau(K)| <= g4(K)", _rule_tau,
-     lambda f: f"tau = {f.tau} != 0 obstructs smooth sliceness" if f.tau else None),
+     lambda f: (f"tau = {f.stored.tau} != 0 obstructs smooth sliceness"
+                if f.stored.tau else None)),
     ("nu-bound", "Rasmussen: nu(K) <= g4(K)", _rule_nu, None),
     ("upsilon-bound", "Ozsvath-Stipsicz-Szabo: |Upsilon_K(s)| <= s * g4(K)", _rule_upsilon,
      lambda f: (f"upsilon = {f.upsilon_value} != 0 obstructs smooth sliceness"
@@ -324,10 +312,10 @@ def aggregate(record: "KnotRecord", *, notes: tuple[str, ...] = ()) -> Obstructi
     Raises InconsistentBoundsError when the declared data contradicts a rule
     (the message names the clashing rules).
     """
-    facts = _facts_from_record(record)
+    facts = record_facts(record)
     if (facts.sigma is None and facts.arf is None and facts.delta is None
-            and facts.tau is None and facts.nu is None and facts.upsilon is None
-            and all(getattr(facts.stored, q) is None for q in GENUS_FLOOR)):
+            and all(getattr(facts.stored, q) is None
+                    for q in ("tau", "nu", "upsilon", *GENUS_FLOOR))):
         raise ValueError(f"record {facts.name!r} carries no matrix, polynomial, "
                          "or stored invariants to aggregate")
     tracker = _Tracker()

@@ -110,7 +110,7 @@ class CompanionInvariants(GenusBounds):
         ups = obj.get("upsilon")
         return super().from_json(
             obj, tau=obj.get("tau"), epsilon=obj.get("epsilon"), nu=obj.get("nu"),
-            s=obj.get("s"), upsilon=PLFunction.from_json(ups) if ups else None)
+            s=obj.get("s"), upsilon=None if ups is None else PLFunction.from_json(ups))
 
 
 def pattern_seifert_matrix(clasp: str, b: int) -> SeifertMatrix:
@@ -191,21 +191,13 @@ def epsilon_whitehead(p: WhiteheadParams, c: CompanionInvariants) -> int:
 
 
 def upsilon_whitehead(p: WhiteheadParams, c: CompanionInvariants) -> PLFunction:
-    """Upsilon of the double on [0, 2].
+    """Upsilon of the double on [0, 2]: the tent through (1, -tau) of the double.
 
-    Zero in the unobstructed case; otherwise the tent s -> -1 + |1 - s|
-    (positive clasp, b < 2*tau) or its negative (negative clasp, b > 2*tau).
+    The double's tau is 0 or +/-1 (tau_whitehead holds Hedden's case split),
+    so Upsilon is zero when tau is 0 and otherwise the tent s -> -1 + |1 - s|
+    (tau = 1, positive clasp) or its negative (tau = -1, negative clasp).
     """
-    if c.tau is None:
-        raise MissingInvariantError("tau of the companion is required")
-    b = p.effective_twist
-    if p.clasp == "+":
-        if b >= 2 * c.tau:
-            return PLFunction.zero()
-        return PLFunction([(0, 0), (1, -1), (2, 0)])
-    if b <= 2 * c.tau:
-        return PLFunction.zero()
-    return PLFunction([(0, 0), (1, 1), (2, 0)])
+    return PLFunction([(0, 0), (1, -tau_whitehead(p, c)), (2, 0)])
 
 
 def gamma4_whitehead(p: WhiteheadParams) -> GenusBounds:

@@ -323,10 +323,18 @@ def _store_with(**fields):
     _store_with(seifert_matrix={"n": 2, "entries": [["-1", 1], [0, -1]]}),
     _store_with(alexander=[[True, 0]]),
     _store_with(invariants={"g4": ["0", 2]}),
+    {"format_version": True, "records": []},
+    _store_with(seifert_matrix=False, sigma=0),
+    _store_with(invariants=False, sigma=0),
+    _store_with(provenance=0, sigma=0),
+    _store_with(invariants={"upsilon": 0}, sigma=0),
+    _store_with(invariants={"upsilon": []}, sigma=0),
 ], ids=["document-not-object", "records-not-list", "record-not-object", "record-without-name",
         "alexander-not-terms", "alexander-null-coefficient", "invariants-not-object",
         "sigma-not-integer", "upsilon-breakpoint-exponent", "matrix-string-entries",
-        "alexander-bool-coefficient", "genus-string-bound"])
+        "alexander-bool-coefficient", "genus-string-bound", "format-version-bool",
+        "matrix-false", "invariants-false", "provenance-zero", "upsilon-zero",
+        "upsilon-empty-list"])
 def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
     path = tmp_path / "store.json"
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -335,6 +343,20 @@ def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_matrix_record_reports_the_matrix_delta_not_a_stored_unit_multiple(tmp_path, capsys):
+    # the 0 x 0 matrix has Delta = 1; the stored t^2 is the same polynomial up to units
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(_store_with(seifert_matrix={"n": 0, "entries": []},
+                                           alexander=[[1, 2]])), encoding="utf-8")
+    code, out, _ = run(capsys, "invariants", "k", "--store", str(path))
+    assert code == 0 and "alexander: 1\n" in out
+    code, out, _ = run(capsys, "obstruct", "k", "--store", str(path), "--json")
+    assert code == 0
+    freedman = [r["contribution"] for r in json.loads(out)["applied_rules"]
+                if r["rule"] == "freedman"]
+    assert freedman == ["Delta = 1, so the knot is topologically slice"]
 
 
 def test_readme_tour(tmp_path, capsys, monkeypatch):

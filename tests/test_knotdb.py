@@ -133,6 +133,27 @@ def test_ingest_csv_non_integer_cells_become_diagnostics(tmp_path):
     assert store.lookup("k2").alexander is None
     assert store.lookup("k3").invariants.g4 is None
 
+    # integer cells follow JSON too: no digit separators, signs or non-ASCII digits
+    path = tmp_path / "ints.csv"
+    path.write_text('knot,sig,arf,tau,epsilon,nu,s\nk4,1_0,+1,\u0663,1.0,true,"""2"""\n'
+                    'k5,-2,1,1,1,2,-2\n', encoding="utf-8")
+    store = KnotStore()
+    added, diagnostics = ingest_csv(store, path, {
+        "name": "knot", "signature": "sig", "arf": "arf", "tau": "tau",
+        "epsilon": "epsilon", "nu": "nu", "s": "s"})
+    assert added == ["k4", "k5"]
+    assert [d.split(" (")[0] for d in diagnostics] == [
+        "row 2: signature: unparseable cell '1_0'",
+        "row 2: arf: unparseable cell '+1'",
+        "row 2: tau: unparseable cell '\u0663'",
+        "row 2: epsilon: unparseable cell '1.0'",
+        "row 2: nu: unparseable cell 'true'",
+        "row 2: s: unparseable cell '\"2\"'",
+    ]
+    k4, k5 = store.lookup("k4"), store.lookup("k5")
+    assert (k4.sigma, k4.arf, k4.invariants.tau, k4.invariants.s) == (None, None, None, None)
+    assert (k5.sigma, k5.arf, k5.invariants.tau, k5.invariants.nu) == (-2, 1, 1, 2)
+
 
 def test_ingest_csv_genus_cell_below_floor_becomes_diagnostic(tmp_path):
     path = tmp_path / "floor.csv"

@@ -8,7 +8,8 @@ from conftest import golden_corpus
 from slicegate.bounds import Interval
 from slicegate.knotdb import KnotRecord, seed_table, whitehead_double_record
 from slicegate.laurent import LaurentPoly
-from slicegate.obstruct import InconsistentBoundsError, aggregate, yasuhara
+from slicegate.obstruct import InconsistentBoundsError, aggregate, record_facts, yasuhara
+from slicegate.seifert import SeifertMatrix
 from slicegate.whitehead import CompanionInvariants, WhiteheadParams, gamma4_whitehead
 from slicegate import obstruct as obstruct_mod
 
@@ -161,3 +162,20 @@ def test_slice_seed_has_moebius_band_verdict():
     assert report.verdict.topologically_slice == "yes"
     assert report.bounds.gamma4 == Interval(1, 1)
     assert report.verdict.nonorientably_slice == "yes"
+
+
+def test_record_facts_reads_each_fact_from_one_source():
+    trefoil_delta = LaurentPoly({1: 1, 0: -1, -1: 1})
+    # a matrix record: sigma and Delta from the matrix, Arf from its Delta(-1)
+    matrix = KnotRecord(name="m", seifert_matrix=SeifertMatrix([[-1, 1], [0, -1]]),
+                        alexander=LaurentPoly({3: 1, 2: -1, 1: 1})).validate()
+    facts = record_facts(matrix)
+    assert (facts.sigma, facts.arf, facts.delta) == (-2, 1, trefoil_delta)
+    assert facts.surface_genus == 1 and not facts.fm.passes
+    # a table record: the stored values, and no Arf read off a Delta that is only stored
+    table = KnotRecord(name="t", alexander=trefoil_delta, sigma=-2,
+                       invariants=CompanionInvariants(tau=1)).validate()
+    facts = record_facts(table)
+    assert (facts.sigma, facts.arf, facts.delta) == (-2, None, trefoil_delta)
+    assert facts.surface_genus is None and facts.stored.tau == 1
+    assert record_facts(KnotRecord(name="s", arf=1)).arf == 1

@@ -127,6 +127,8 @@ def test_upsilon_whitehead_cases():
     assert upsilon_whitehead(wh("+", 0), CompanionInvariants(tau=0)) == ZERO
     assert upsilon_whitehead(wh("+", 0), CompanionInvariants(tau=1)) == TENT_DOWN
     assert upsilon_whitehead(wh("-", 1), CompanionInvariants(tau=0)) == TENT_UP
+    with pytest.raises(MissingInvariantError):
+        upsilon_whitehead(wh("+", 0), CompanionInvariants())
 
 
 def test_upsilon_whitehead_properties():
@@ -136,6 +138,9 @@ def test_upsilon_whitehead_properties():
                 f = upsilon_whitehead(wh(clasp, b), CompanionInvariants(tau=tau))
                 assert f(0) == 0
                 assert upsilon_little(f) in (-1, 0, 1)
+                # the tent through (1, -tau) of the double
+                tau_d = tau_whitehead(wh(clasp, b), CompanionInvariants(tau=tau))
+                assert f == {0: ZERO, 1: TENT_DOWN, -1: TENT_UP}[tau_d]
 
 
 def test_gamma4_whitehead():
