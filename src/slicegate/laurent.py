@@ -2,8 +2,8 @@
 
 Alexander polynomials live in Z[t, t^-1] and are only defined up to a unit
 +/- t^k, so everything here revolves around a canonical sparse form plus an
-explicit unit-normalization step.  Factorization is done over Z with
-Kronecker's interpolation method (after rational-root stripping) because the
+explicit unit-normalization step.  Factorization over Z is modular (factor
+mod a prime, Hensel-lift, recombine by exact division) because the
 Fox-Milnor condition needs exact irreducible factors, not numerical roots.
 """
 
@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations, count, zip_longest
 from typing import Iterable, Mapping, NamedTuple
 
 
@@ -288,8 +290,8 @@ def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
     return out
 
 
@@ -321,169 +323,243 @@ def _poly_div_exact(num, den):
     return q
 
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of |n| in increasing order (n must be nonzero)."""
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _primitive(cs):
+    """cs divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if cs[-1] > 0 else [-c // g for c in cs]
 
 
-def _find_rational_root(cs):
-    """A rational root a/b of the primitive polynomial cs, as (a, b) with b > 0, or None."""
-    deg = len(cs) - 1
-    const, lead = cs[0], cs[-1]
-    if const == 0:
-        return 0, 1
-    for b in _divisors(lead):
-        for a in _divisors(const):
-            if math.gcd(a, b) != 1:
-                continue
-            for sa in (a, -a):
-                # b^deg * cs(sa/b), an integer
-                acc = sum(c * sa ** k * b ** (deg - k) for k, c in enumerate(cs))
-                if acc == 0:
-                    return sa, b
-    return None
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm sequence p, p', -rem(p, p'), ... of an integer polynomial (ascending).
+
+    Each remainder is scaled by a positive rational to a primitive integer
+    polynomial, which keeps the signs and keeps the coefficients small.  The
+    last polynomial is gcd(p, p') up to its sign.
+    """
+    chain = [p]
+    nxt = [k * c for k, c in enumerate(p)][1:]
+    while nxt:
+        chain.append(nxt)
+        r = chain[-2]
+        while len(r) >= len(nxt):
+            f, scale = (r[-1], nxt[-1]) if nxt[-1] > 0 else (-r[-1], -nxt[-1])
+            shift = len(r) - len(nxt)
+            r = [scale * c for c in r]
+            for j, c in enumerate(nxt):
+                r[shift + j] -= f * c
+            r.pop()
+        while r and not r[-1]:
+            r.pop()
+        g = math.gcd(*r)
+        nxt = [-c // g for c in r]
+    return chain
 
 
-def _expand_points(points):
-    """Monic polynomial prod (t - x_j) as a coefficient list."""
-    out = [1]
-    for x in points:
-        out = _poly_mul(out, [-x, 1])
+# -- arithmetic in (Z/m)[t]: lists reduced mod m, the zero polynomial is [] --
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mmul(a, b, m):
+    return _trim([c % m for c in _poly_mul(a, b)]) if a and b else []
+
+
+def _msum(m, *polys):
+    return _trim([sum(cs) % m for cs in zip_longest(*polys, fillvalue=0)])
+
+
+def _msub(m, a, *polys):
+    return _trim([(x - sum(ys)) % m for x, *ys in zip_longest(a, *polys, fillvalue=0)])
+
+
+def _mdivmod(a, b, m):
+    """Quotient and remainder of a by b mod m; lc(b) must be a unit mod m."""
+    a, low, inv, q = list(a), b[:-1], pow(b[-1], -1, m), []
+    while len(a) > len(low):
+        c = a.pop() * inv % m
+        q.append(c)
+        if c:
+            for j, y in enumerate(low, len(a) - len(low)):
+                a[j] -= c * y
+    return _trim(q[::-1]), _trim([c % m for c in a])
+
+
+def _mpow(a, e, f, m):
+    """a^e mod (f, m) for e >= 1 (a itself when e = 1)."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _mdivmod(_poly_mul(out, out), f, m)[1]
+        if bit == "1":
+            out = _mdivmod(_poly_mul(out, a), f, m)[1]
     return out
 
 
-def _lagrange_basis(pts):
-    """Integer-scaled Lagrange basis on distinct integer points.
+def _mgcd(a, b, p):
+    """Monic gcd of a (nonzero, lc(a) a unit) and b (reduced) mod the prime p."""
+    while b:
+        a, b = b, _mdivmod(a, b, p)[1]
+    return _mdivmod(a, [a[-1]], p)[0]
 
-    Returns (scale, basis) with basis[i] = scale * L_i as integer
-    coefficient lists, where L_i is 1 at pts[i] and 0 at the other points.
+
+def _mxgcd(a, b, p):
+    """(s, t) with s*a + t*b = 1 mod the prime p, deg s < deg b and deg t < deg a."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _mdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _msub(p, s0, _mmul(q, s1, p))
+        t0, t1 = t1, _msub(p, t0, _mmul(q, t1, p))
+    return _mdivmod(s0, r0, p)[0], _mdivmod(t0, r0, p)[0]  # r0 is a unit
+
+
+def _ddf(f, p):
+    """Distinct-degree factorization of a monic square-free f mod p: (product, degree) pairs."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _mpow(h, p, f, p)  # t^(p^d) mod f
+        g = _mgcd(f, _msub(p, h, [0, 1]), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _mdivmod(f, g, p)[0]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _edf(g, d, p, rng=None):
+    """The monic degree-d factors of g mod the odd prime p, by Cantor-Zassenhaus splitting."""
+    if len(g) - 1 == d:
+        return [g]
+    rng = rng or random.Random(0)
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        u = _mgcd(g, _msub(p, _mpow(a, (p ** d - 1) // 2, g, p), [1]), p)
+        if 1 < len(u) < len(g):
+            return _edf(u, d, p, rng) + _edf(_mdivmod(g, u, p)[0], d, p, rng)
+
+
+def _hensel(f, us, p, mod):
+    """Lift f = lc(f) * prod(us) mod p, each u monic, to monic factors mod `mod` = p^(2^j).
+
+    Lifts f = g * h, g and h the products of the two halves of us, by quadratic
+    Hensel steps (von zur Gathen-Gerhard, Algorithm 15.10), then each half.
     """
-    denoms = []
-    numers = []
-    for i, xi in enumerate(pts):
-        d = 1
-        for j, xj in enumerate(pts):
-            if j != i:
-                d *= xi - xj
-        denoms.append(d)
-        numers.append(_expand_points([x for j, x in enumerate(pts) if j != i]))
-    scale = reduce(math.lcm, (abs(d) for d in denoms))
-    return scale, [[c * (scale // d) for c in numer] for d, numer in zip(denoms, numers)]
-
-
-def _interpolate(scale, basis, vals):
-    """Coefficients of the interpolant taking vals on the basis points, or None if not integral."""
-    scaled = [sum(v * b[c] for v, b in zip(vals, basis)) for c in range(len(basis))]
-    if any(c % scale for c in scaled):
-        return None
-    return [c // scale for c in scaled]
-
-
-def _kronecker_find_factor(cs, m):
-    """Search for a degree-m integer divisor of cs; returns its coefficients or None.
-
-    Classic Kronecker interpolation: a degree-m factor g satisfies
-    g(x) | cs(x) at every integer x, so enumerate divisor tuples over m+1
-    sample points and interpolate.  Points are chosen to minimize divisor
-    counts and candidates are pruned with g(x) = g(y) mod (x - y).
-    """
-    pool = [0]
-    k = 1
-    while len(pool) < max(11, m + 3):
-        pool.extend((k, -k))
-        k += 1
-    divs = {x: _divisors(_poly_eval(cs, x)) for x in pool}
-    scored = sorted(pool, key=lambda x: (len(divs[x]), abs(x)))
-    pts = sorted(scored[: m + 1])
-    scale, basis = _lagrange_basis(pts)
-
-    mods = [[(j, abs(pts[i] - pts[j])) for j in range(i) if abs(pts[i] - pts[j]) > 1]
-            for i in range(m + 1)]
-    lead_cs = cs[-1]
-
-    def candidates(i, chosen):
-        opts = divs[pts[i]]
-        if i == 0:
-            # a factor and its negation divide equally; fix g(x0) > 0
-            signed = opts
-        else:
-            signed = [d for d in opts] + [-d for d in opts]
-        for d in signed:
-            if all((d - chosen[j]) % q == 0 for j, q in mods[i]):
-                yield d
-
-    chosen = [0] * (m + 1)
-
-    def search(i):
-        if i == m + 1:
-            g = _interpolate(scale, basis, chosen)
-            if g is None or g[-1] == 0 or lead_cs % g[-1]:
-                return None
-            if _poly_div_exact(cs, g) is None:
-                return None
-            return g if g[-1] > 0 else [-c for c in g]
-        for d in candidates(i, chosen):
-            chosen[i] = d
-            hit = search(i + 1)
-            if hit is not None:
-                return hit
-        return None
-
-    return search(0)
-
-
-def _factor_primitive(cs):
-    """Irreducible factors (positive leading coefficient) of a primitive polynomial."""
-    factors = []
-    while len(cs) - 1 >= 1:
-        root = _find_rational_root(cs)
-        if root is None:
+    if len(us) == 1:
+        return [_mdivmod(f, [f[-1]], mod)[0]]
+    k = len(us) // 2
+    g = reduce(lambda a, b: _mmul(a, b, p), us[:k], [f[-1] % p])
+    h = reduce(lambda a, b: _mmul(a, b, p), us[k:], [1])
+    s, t = _mxgcd(g, h, p)
+    m = p
+    while m < mod:
+        m *= m
+        e = _msub(m, f, _mmul(g, h, m))
+        q, r = _mdivmod(_mmul(s, e, m), h, m)
+        g = _msum(m, g, _mmul(t, e, m), _mmul(q, g, m))
+        h = _msum(m, h, r)
+        if m >= mod:
             break
-        a, b = root
-        lin = [-a, b]
-        cs = _poly_div_exact(cs, lin)
-        assert cs is not None
-        factors.append(tuple(lin))
-    # no rational roots remain: degrees 2 and 3 are now irreducible, and any
-    # smallest-degree divisor found below is irreducible as well
-    m = 2
-    while (d := len(cs) - 1) >= 4 and m <= d // 2:
-        g = _kronecker_find_factor(cs, m)
-        if g is None:
-            m += 1
-            continue
-        factors.append(tuple(g))
-        cs = _poly_div_exact(cs, g)
-        assert cs is not None
-    if len(cs) - 1 >= 1:
-        factors.append(tuple(cs))
-    else:
-        assert cs == [1], "primitive input should reduce to the unit constant"
-    return factors
+        b = _msum(m, _mmul(s, g, m), _mmul(t, h, m), [-1])
+        c, d = _mdivmod(_mmul(s, b, m), h, m)
+        s = _msub(m, s, d)
+        t = _msub(m, t, _mmul(t, b, m), _mmul(c, g, m))
+    return _hensel(g, us[:k], p, mod) + _hensel(h, us[k:], p, mod)
+
+
+def _recombine(f, lifted, mod, most):
+    """Factors lc(f) * (a product of at most `most` lifted factors) mod `mod` that divide f over Z.
+
+    Returns them, the cofactor left of f, and the lifted factors left.
+    """
+    factors, size = [], 1
+    while size <= min(most, len(lifted) // 2):
+        for subset in combinations(range(len(lifted)), size):
+            c0 = reduce(lambda a, i: a * lifted[i][0] % mod, subset, f[-1])
+            c0 = c0 - mod if 2 * c0 > mod else c0
+            if c0 == 0 or f[-1] * f[0] % c0:  # the constant term must divide
+                continue
+            g = reduce(lambda a, i: _mmul(a, lifted[i], mod), subset, [f[-1]])
+            g = _primitive([c - mod if 2 * c > mod else c for c in g[:-1]] + [f[-1]])
+            q = _poly_div_exact(f, g)
+            if q is not None:
+                factors.append(g)
+                f = q
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return factors, f, lifted
+
+
+def _zassenhaus(f, p):
+    """Irreducible factors of a primitive f that is square-free mod the odd prime p ∤ lc(f).
+
+    Zassenhaus 1969: factors f mod p (Cantor-Zassenhaus 1981), lifts the
+    factors past twice |lc(f)| times Mignotte's coefficient bound, and
+    recombines them.  A factor of f that is a single factor mod p is
+    irreducible, so single factors are first tried mod p itself, which needs
+    no lifting when the factor's coefficients are small.
+    """
+    us = [u for g, d in _ddf(_mdivmod(f, [f[-1]], p)[0], p) for u in _edf(g, d, p)]
+    factors, f, us = _recombine(f, us, p, 1)
+    if len(us) == 1:
+        return factors + [f]
+    # a candidate multiplies at most len(us) // 2 factors, so its degree is at most d
+    d = sum(sorted(len(u) - 1 for u in us)[(len(us) + 1) // 2:])
+    bound = 2 * f[-1] * math.comb(d, d // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
+    mod = p
+    while mod <= bound:
+        mod *= mod
+    more, f, _ = _recombine(f, _hensel(f, us, p, mod), mod, len(us))
+    return factors + more + [f]
+
+
+def _factor_primitive(f):
+    """Irreducible factors (positive leading coefficient) of a primitive f with f(0) != 0.
+
+    A quadratic splits exactly when its discriminant is a square.  Above
+    degree 2, f is square-free when it is square-free mod some prime; only
+    when gcd(f, f') != 1 is the square-free part f / gcd(f, f') factored and
+    each multiplicity read off by exact division.
+    """
+    if len(f) <= 3:
+        if len(f) < 3:
+            return [f] if len(f) == 2 else []
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        r = math.isqrt(max(disc, 0))
+        return [f] if r * r != disc else [_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])]
+    df, g = [k * c for k, c in enumerate(f)][1:], None
+    for p in (p for p in count(3, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))):
+        if f[-1] % p:
+            if len(_mgcd(f, _trim([c % p for c in df]), p)) == 1:
+                return _zassenhaus(f, p)
+            if g is None and len(g := _primitive(_sturm_chain(f)[-1])) > 1:  # gcd(f, f')
+                break
+    out = []
+    for u in _factor_primitive(_poly_div_exact(f, g)):
+        while (q := _poly_div_exact(f, u)) is not None:
+            out.append(u)
+            f = q
+    return out
 
 
 def factor(q: IntPoly) -> tuple[list[IntPoly], int]:
     """Factor q over Z into irreducible primitive factors and an integer content.
 
     The product of the returned factors times the content reproduces q
-    exactly; every factor has positive leading coefficient.
+    exactly; the factors, sorted by degree and then coefficients, have
+    positive leading coefficients, and a root at 0 is the factor t.
     """
-    cs = list(q.coeffs)
-    g = reduce(math.gcd, (abs(c) for c in cs))
-    content = g if cs[-1] > 0 else -g
-    prim = [c // content for c in cs]
-    if len(prim) == 1:
-        return [], content
-    raw = _factor_primitive(prim)
+    prim = _primitive(list(q.coeffs))
+    content = q.leading // prim[-1]
+    zeros = next(k for k, c in enumerate(prim) if c)
+    raw = [[0, 1]] * zeros + _factor_primitive(prim[zeros:])
     out = sorted((IntPoly(f) for f in raw), key=lambda f: (f.degree, f.coeffs))
     return out, content
 

@@ -10,7 +10,7 @@ raise an error naming the clashing rules instead of silently clamping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -314,8 +314,7 @@ def aggregate(record: "KnotRecord", *, notes: tuple[str, ...] = ()) -> Obstructi
     """
     facts = record_facts(record)
     if (facts.sigma is None and facts.arf is None and facts.delta is None
-            and all(getattr(facts.stored, q) is None
-                    for q in ("tau", "nu", "upsilon", *GENUS_FLOOR))):
+            and all(getattr(facts.stored, q.name) is None for q in fields(facts.stored))):
         raise ValueError(f"record {facts.name!r} carries no matrix, polynomial, "
                          "or stored invariants to aggregate")
     tracker = _Tracker()

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bounds import GenusBounds, Interval
-from .laurent import (LaurentPoly, _poly_div_exact, _poly_eval, _poly_mul, _wire_int,
-                      check_alexander, normalize)
+from .laurent import (LaurentPoly, _poly_div_exact, _poly_eval, _poly_mul, _sturm_chain,
+                      _wire_int, check_alexander, normalize)
 from .plfunc import _frac
 
 
@@ -252,31 +252,6 @@ def _trace_poly(delta: LaurentPoly) -> list[int]:
         for j, r in enumerate(_poly_mul(re_part, [math.comb(m - k, i) for i in range(m - k + 1)])):
             out[j] += c * r
     return out
-
-
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """Sturm sequence p, p', -rem(p, p'), ... of an integer polynomial (ascending).
-
-    Each remainder is scaled by a positive rational to a primitive integer
-    polynomial, which keeps the signs and keeps the coefficients small.
-    """
-    chain = [p]
-    nxt = [k * c for k, c in enumerate(p)][1:]
-    while nxt:
-        chain.append(nxt)
-        r = chain[-2]
-        while len(r) >= len(nxt):
-            f, scale = (r[-1], nxt[-1]) if nxt[-1] > 0 else (-r[-1], -nxt[-1])
-            shift = len(r) - len(nxt)
-            r = [scale * c for c in r]
-            for j, c in enumerate(nxt):
-                r[shift + j] -= f * c
-            r.pop()
-        while r and not r[-1]:
-            r.pop()
-        g = math.gcd(*r)
-        nxt = [-c // g for c in r]
-    return chain
 
 
 def _sign_changes(chain, x: Fraction) -> int:

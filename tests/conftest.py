@@ -1,13 +1,16 @@
 """Shared helpers: random Seifert-matrix generators, the float signature and
-Levine-Tristram oracles, the GF(2) Arf oracle and the full-interpolation
-Alexander oracle."""
+Levine-Tristram oracles, the GF(2) Arf oracle, the full-interpolation
+Alexander oracle and the Kronecker factorization oracle."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
 
 import numpy as np
+
+from slicegate.laurent import IntPoly, LaurentPoly, _poly_div_exact, _poly_eval, _poly_mul
 
 
 def random_unimodular(rng, n, ops=4):
@@ -95,7 +98,6 @@ def alexander_full(entries):
     palindromic symmetry; the result must come out integral and palindromic,
     and its sign is chosen so the value at t = 1 is 1.
     """
-    from slicegate.laurent import LaurentPoly, _interpolate, _lagrange_basis
     from slicegate.seifert import _det_int
 
     n = len(entries)
@@ -106,6 +108,177 @@ def alexander_full(entries):
     assert cs is not None and cs == cs[::-1], "det(V - tV^T) must be palindromic on [0, n]"
     poly = LaurentPoly({e - n // 2: c for e, c in enumerate(cs)})
     return poly if poly.at_pm1(1) == 1 else -poly
+
+
+# -- Kronecker factorization, the oracle for laurent.factor ------------------
+
+
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in increasing order (n must be nonzero)."""
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _find_rational_root(cs):
+    """A rational root a/b of the primitive polynomial cs, as (a, b) with b > 0, or None."""
+    deg = len(cs) - 1
+    const, lead = cs[0], cs[-1]
+    if const == 0:
+        return 0, 1
+    for b in _divisors(lead):
+        for a in _divisors(const):
+            if math.gcd(a, b) != 1:
+                continue
+            for sa in (a, -a):
+                # b^deg * cs(sa/b), an integer
+                acc = sum(c * sa ** k * b ** (deg - k) for k, c in enumerate(cs))
+                if acc == 0:
+                    return sa, b
+    return None
+
+
+def _expand_points(points):
+    """Monic polynomial prod (t - x_j) as a coefficient list."""
+    out = [1]
+    for x in points:
+        out = _poly_mul(out, [-x, 1])
+    return out
+
+
+def _lagrange_basis(pts):
+    """Integer-scaled Lagrange basis on distinct integer points.
+
+    Returns (scale, basis) with basis[i] = scale * L_i as integer
+    coefficient lists, where L_i is 1 at pts[i] and 0 at the other points.
+    """
+    denoms = []
+    numers = []
+    for i, xi in enumerate(pts):
+        d = 1
+        for j, xj in enumerate(pts):
+            if j != i:
+                d *= xi - xj
+        denoms.append(d)
+        numers.append(_expand_points([x for j, x in enumerate(pts) if j != i]))
+    scale = reduce(math.lcm, (abs(d) for d in denoms))
+    return scale, [[c * (scale // d) for c in numer] for d, numer in zip(denoms, numers)]
+
+
+def _interpolate(scale, basis, vals):
+    """Coefficients of the interpolant taking vals on the basis points, or None if not integral."""
+    scaled = [sum(v * b[c] for v, b in zip(vals, basis)) for c in range(len(basis))]
+    if any(c % scale for c in scaled):
+        return None
+    return [c // scale for c in scaled]
+
+
+def _kronecker_find_factor(cs, m):
+    """Search for a degree-m integer divisor of cs; returns its coefficients or None.
+
+    Classic Kronecker interpolation: a degree-m factor g satisfies
+    g(x) | cs(x) at every integer x, so enumerate divisor tuples over m+1
+    sample points and interpolate.  Points are chosen to minimize divisor
+    counts and candidates are pruned with g(x) = g(y) mod (x - y).
+    """
+    pool = [0]
+    k = 1
+    while len(pool) < max(11, m + 3):
+        pool.extend((k, -k))
+        k += 1
+    divs = {x: _divisors(_poly_eval(cs, x)) for x in pool}
+    scored = sorted(pool, key=lambda x: (len(divs[x]), abs(x)))
+    pts = sorted(scored[: m + 1])
+    scale, basis = _lagrange_basis(pts)
+
+    mods = [[(j, abs(pts[i] - pts[j])) for j in range(i) if abs(pts[i] - pts[j]) > 1]
+            for i in range(m + 1)]
+    lead_cs = cs[-1]
+
+    def candidates(i, chosen):
+        opts = divs[pts[i]]
+        if i == 0:
+            # a factor and its negation divide equally; fix g(x0) > 0
+            signed = opts
+        else:
+            signed = [d for d in opts] + [-d for d in opts]
+        for d in signed:
+            if all((d - chosen[j]) % q == 0 for j, q in mods[i]):
+                yield d
+
+    chosen = [0] * (m + 1)
+
+    def search(i):
+        if i == m + 1:
+            g = _interpolate(scale, basis, chosen)
+            if g is None or g[-1] == 0 or lead_cs % g[-1]:
+                return None
+            if _poly_div_exact(cs, g) is None:
+                return None
+            return g if g[-1] > 0 else [-c for c in g]
+        for d in candidates(i, chosen):
+            chosen[i] = d
+            hit = search(i + 1)
+            if hit is not None:
+                return hit
+        return None
+
+    return search(0)
+
+
+def _kronecker_factor_primitive(cs):
+    """Irreducible factors (positive leading coefficient) of a primitive polynomial."""
+    factors = []
+    while len(cs) - 1 >= 1:
+        root = _find_rational_root(cs)
+        if root is None:
+            break
+        a, b = root
+        lin = [-a, b]
+        cs = _poly_div_exact(cs, lin)
+        assert cs is not None
+        factors.append(tuple(lin))
+    # no rational roots remain: degrees 2 and 3 are now irreducible, and any
+    # smallest-degree divisor found below is irreducible as well
+    m = 2
+    while (d := len(cs) - 1) >= 4 and m <= d // 2:
+        g = _kronecker_find_factor(cs, m)
+        if g is None:
+            m += 1
+            continue
+        factors.append(tuple(g))
+        cs = _poly_div_exact(cs, g)
+        assert cs is not None
+    if len(cs) - 1 >= 1:
+        factors.append(tuple(cs))
+    else:
+        assert cs == [1], "primitive input should reduce to the unit constant"
+    return factors
+
+
+def factor_kronecker(q):
+    """Independent oracle for laurent.factor: rational roots, then Kronecker's search.
+
+    Same contract as factor (sorted primitive irreducible factors with
+    positive leading coefficient, signed content), exponential in the degree;
+    fine up to degree 12.
+    """
+    cs = list(q.coeffs)
+    g = reduce(math.gcd, (abs(c) for c in cs))
+    content = g if cs[-1] > 0 else -g
+    prim = [c // content for c in cs]
+    if len(prim) == 1:
+        return [], content
+    raw = _kronecker_factor_primitive(prim)
+    out = sorted((IntPoly(f) for f in raw), key=lambda f: (f.degree, f.coeffs))
+    return out, content
 
 
 def arf_gf2(entries):

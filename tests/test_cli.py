@@ -238,6 +238,22 @@ def test_import_keeps_the_rest_of_a_table_past_a_bad_invariant(tmp_path, capsys)
     assert "diagnostic: row 2: epsilon: unparseable cell '2'" in out
 
 
+@pytest.mark.parametrize("column,cell", [("s", "4"), ("epsilon", "1")])
+def test_record_with_only_s_or_epsilon_gets_an_all_unknown_report(tmp_path, capsys, column,
+                                                                  cell):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text(f"knot,{column}\nk,{cell}\n", encoding="utf-8")
+    store_path = tmp_path / "store.json"
+    code, _, _ = run(capsys, "import", "--csv", str(csv_path), "--map", "name=knot",
+                     "--map", f"{column}={column}", "--save", str(store_path))
+    assert code == 0
+    code, out, err = run(capsys, "obstruct", "--all", "--json", "--store", str(store_path))
+    assert (code, err) == (0, "")
+    report = {r["name"]: r for r in json.loads(out)["reports"]}["k"]
+    assert set(report["verdict"].values()) == {"unknown"}
+    assert report["applied_rules"] == []
+
+
 def test_store_env_variable(tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "t.csv"
     csv_path.write_text('knot,matrix\nenv_knot,"[[-1,1],[0,1]]"\n', encoding="utf-8")

@@ -1,13 +1,16 @@
 """Laurent polynomial arithmetic, factorization, and the Fox-Milnor test."""
 
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from conftest import factor_kronecker
 
-from slicegate.laurent import (IntPoly, InvalidAlexanderError, LaurentPoly, Unit, factor,
-                               fox_milnor, normalize)
+from slicegate.laurent import (IntPoly, InvalidAlexanderError, LaurentPoly, Unit, _poly_mul,
+                               factor, fox_milnor, normalize)
 
 T = LaurentPoly  # shorthand for literals
 
@@ -214,3 +217,122 @@ def test_fox_milnor_passes_imply_odd_square_determinant():
         det = abs(int(p.evaluate(-1)))
         root = math.isqrt(det)
         assert det % 2 == 1 and root * root == det
+
+
+# -- the modular factorization against the Kronecker oracle -----------------
+
+PHI8 = IntPoly([1, 0, 0, 0, 1])
+PHI12 = IntPoly([1, 0, -1, 0, 1])
+SQRT2_PLUS_SQRT3 = IntPoly([1, 0, -10, 0, 1])  # x^4 - 10x^2 + 1
+
+
+def _with_f_one(rng, deg, bound=2):
+    """A random integer polynomial of degree deg with f(1) = 1."""
+    while True:
+        cs = [rng.randint(-bound, bound) for _ in range(deg + 1)]
+        cs[0] = 1 - sum(cs[1:])
+        if cs[0] and cs[-1]:
+            return IntPoly(cs)
+
+
+def _f_fstar(f):
+    """t^deg(f) * f(t) * f(1/t) as an IntPoly: the Delta of K # -K when f(1) = +/-1."""
+    return IntPoly(_poly_mul(list(f.coeffs), list(f.coeffs)[::-1]))
+
+
+def _symmetric_odd_square(rng, g, bound=2):
+    """t^g * (a0 + sum a_k (t^k + t^-k)) with Delta(1) = 1 and Delta(-1) in {1, 9}.
+
+    Shaped like perfbench/gen.py's symmetric_odd_square.
+    """
+    odd = [k for k in range(1, g + 1) if k % 2]
+    while True:
+        a = {k: rng.randint(-bound, bound) for k in range(1, g + 1)}
+        a[odd[-1]] = rng.choice([0, -2]) - sum(a[k] for k in odd[:-1])
+        if a[g]:
+            half = [a[k] for k in range(g, 0, -1)]
+            return IntPoly(half + [1 - 2 * sum(a.values())] + half[::-1])
+
+
+def _random_poly(rng, deg, lead=5, bound=5):
+    lc = rng.choice([c for c in range(-lead, lead + 1) if c])
+    return IntPoly([rng.randint(-bound, bound) for _ in range(deg)] + [lc])
+
+
+def test_factor_matches_the_oracle_on_alexander_shaped_polynomials():
+    rng = random.Random(401)
+    for g in range(1, 7):
+        for _ in range(4):
+            for q in (_f_fstar(_with_f_one(rng, g)), _symmetric_odd_square(rng, g)):
+                assert factor(q) == factor_kronecker(q), q
+
+
+def test_factor_matches_the_oracle_on_products_with_repeated_factors():
+    rng = random.Random(402)
+    for _ in range(150):
+        parts = [_random_poly(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        parts += [rng.choice(parts)] * rng.randint(1, 2)
+        parts.append(IntPoly([0] * rng.randint(0, 2) + [rng.choice([-3, -2, -1, 1, 2, 3])]))
+        q = reduce(operator.mul, parts)
+        if q.degree <= 12:
+            assert factor(q) == factor_kronecker(q), q
+
+
+def test_factor_leading_coefficients_zero_roots_and_negative_content():
+    rng = random.Random(403)
+    for _ in range(150):
+        q = _random_poly(rng, rng.randint(1, 8)) * IntPoly([0] * rng.randint(0, 3) + [1])
+        q = q * IntPoly([rng.choice([-6, -4, -2, -1, 1, 3])])
+        factors, content = factor(q)
+        assert (factors, content) == factor_kronecker(q), q
+        assert reduce(operator.mul, factors, IntPoly([content])) == q
+
+
+def test_factor_polynomials_that_split_modulo_every_prime():
+    # irreducible over Z, reducible mod every prime: every recombination
+    # candidate must fail the exact division
+    for q in (PHI8, PHI12, SQRT2_PLUS_SQRT3):
+        assert factor(q) == ([q], 1)
+    q = PHI8 * PHI12 * SQRT2_PLUS_SQRT3
+    assert factor(q) == factor_kronecker(q)
+    assert factor(q)[0] == sorted([PHI8, PHI12, SQRT2_PLUS_SQRT3], key=lambda f: f.coeffs)
+
+
+def test_factor_is_deterministic_and_leaves_the_global_random_state_alone():
+    q = _f_fstar(_with_f_one(random.Random(404), 12)) * PHI8
+    random.seed(1)
+    state = random.getstate()
+    first = factor(q)
+    assert random.getstate() == state
+    random.seed(2)
+    assert factor(q) == first
+
+
+# -- Fox-Milnor at high degree -----------------------------------------------
+
+
+@pytest.mark.parametrize("deg", [10, 20])
+def test_fox_milnor_passes_k_sum_minus_k_at_high_degree(deg):
+    fl = _with_f_one(random.Random(405 + deg), deg).to_laurent()
+    delta = fl * fl.involute()  # Delta of K # -K, degree 2 * deg
+    result = fox_milnor(delta)
+    assert result.passes
+    wl = result.witness.to_laurent()
+    assert result.unit.as_laurent() * wl * wl.involute() == delta
+
+
+@pytest.mark.parametrize("odd,k,g_deg", [
+    (IntPoly([1, -2, 1, 0, 1, 0, 1, -2, 1]), 1, 4),  # irreducible, |odd(-1)| = 9
+    (IntPoly([1, 2, -7, 2, 1]), 3, 2),               # irreducible, |odd(-1)| = 9
+])
+def test_fox_milnor_fails_on_an_odd_power_of_a_self_reciprocal_factor(odd, k, g_deg):
+    assert factor(odd) == ([odd], 1)
+    g = _with_f_one(random.Random(406 + g_deg), g_deg)
+    q = reduce(operator.mul, [odd] * k, _f_fstar(g))
+    delta = q.to_laurent()
+    assert q.degree >= 16
+    det = abs(delta.at_pm1(-1))
+    assert det % 2 == 1 and math.isqrt(det) ** 2 == det  # the determinant pre-check passes
+    result = fox_milnor(delta)
+    assert not result.passes
+    assert result.reason == f"self-reciprocal factor {odd} has odd multiplicity {k}"
