@@ -5,14 +5,15 @@ Everything is exact integer arithmetic.  One fraction-free symmetric
 elimination gives the signature of V + V^T and, through an integer real
 form taken on the same arc of the unit circle, every Levine-Tristram
 signature; the Arf invariant follows from the determinant by Levine's
-criterion, and the Alexander polynomial is interpolated exactly from n/2
-determinants of V - t V^T.  The signature and the Alexander polynomial are
-each computed at most once per matrix: the first call stores them on it.
+criterion, and det(V - t V^T) from one characteristic polynomial modulo each
+of one or two fixed primes, sized by a Hadamard bound.  The signature and the
+Alexander polynomial are each computed at most once per matrix.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -168,38 +169,77 @@ def determinant(v: SeifertMatrix) -> int:
     return abs(_det_int(v.pencil(-1)))
 
 
-def _half_interpolate(ts, dets) -> LaurentPoly:
-    """t^-h D(t) for a palindromic D of degree 2h from D(0) = dets[0] and D(ts) = dets[1:].
+# exponents e of the Mersenne primes 2^e - 1 that alexander computes modulo
+_MERSENNE_NARROW = (13, 17, 19, 31, 61, 89, 107, 127)
+_MERSENNE_WIDE = (127, 107, 89, 61, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+                  11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091, 756839, 859433)
 
-    t^-h D(t) = P(t + 1/t) with deg P = h and leading coefficient D(0).  Newton
-    divided differences in s = t + 1/t on P(s) - D(0) s^h at the h distinct
-    nonzero integers ts give the rest of P in O(h^2) exact steps; P must be integral.
+
+def _charpoly_mod(h, p: int) -> list[int]:
+    """det(xI - H) mod the prime p, ascending, for a square residue matrix H (reduced in place).
+
+    Similarities make H upper Hessenberg (a column's row steps share one pivot row, so
+    their inverses commute into one column update), then Cohen's Alg. 2.2.9 reads it off.
     """
-    h, lead = len(ts), dets[0]
-    ss = [Fraction(t * t + 1, t) for t in ts]
-    d = [Fraction(y, t ** h) - lead * s ** h for t, s, y in zip(ts, ss, dets[1:])]
-    for k in range(1, h):
-        d[k:] = [(d[i] - d[i - 1]) / (ss[i] - ss[i - k]) for i in range(k, h)]
-    p = [Fraction(0)] * h  # Horner on the Newton form, ascending in s
-    for k in range(h - 1, -1, -1):
-        p = [a - ss[k] * b for a, b in zip([d[k]] + p[:-1], p)]
-    assert all(c.denominator == 1 for c in p), "P(t + 1/t) = t^-h D(t) must be integral"
-    return sum(LaurentPoly({k - 2 * j: int(c) * math.comb(k, j) for j in range(k + 1)})
-               for k, c in enumerate(p + [lead]))
+    n = len(h)
+    for k in range(n - 2):
+        j = k + 1
+        piv = next((i for i in range(j, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        h[j], h[piv] = h[piv], h[j]
+        for row in h:
+            row[j], row[piv] = row[piv], row[j]
+        rj, inv = h[j][k:], pow(h[j][k], -1, p)
+        us = [h[i][k] * inv % p for i in range(j + 1, n)]
+        for i, u in enumerate(us, j + 1):
+            if u:  # columns left of k are zero in rows j and below
+                h[i][k:] = [(x - u * y) % p for x, y in zip(h[i][k:], rj)]
+        for row in h:
+            row[j] = (row[j] + sum(map(operator.mul, us, row[j + 1:]))) % p
+    polys = [[1]]
+    for m in range(n):
+        acc, t = [a - h[m][m] * b for a, b in zip([0] + polys[m], polys[m] + [0])], 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            f = t * h[i][m]
+            acc[:i + 1] = [a - f * b for a, b in zip(acc, polys[i])]
+        polys.append([a % p for a in acc])
+    return polys[n]
 
 
 def alexander(v: SeifertMatrix) -> LaurentPoly:
     """Alexander polynomial det(V - t V^T) in centered symmetric form, computed once per matrix.
 
-    D(t) = det(V - t V^T) = t^n D(1/t) is t^(n/2) P(t + 1/t) with deg P = n/2, so
-    n/2 determinants fix it: det V at t = 0 and those at t = -1, 2, -2, 3, ...
-    D(1) = det(V - V^T) is free: it is +/-1 by construction and, as an integer
-    skew-symmetric determinant, a square, so Delta(1) = 1.
+    A = V - V^T is skew and unimodular, so det A = 1 and A^-1 is integral.  With
+    W = A^-1 V, D(t) = det(V - tV^T) = det((1 - t)W + tI) = sum c_k t^k (t - 1)^(n-k)
+    for det(xI - W) = sum c_k x^k.  On |t| = 1, B = prod_i (|row_i V| + |col_i V|)
+    bounds |D| (Hadamard) and so each coefficient (Cauchy).  D is read modulo the
+    narrowest Mersenne prime above 2B, or the wide ones in turn until their product is.
     """
     if v._delta is None:
-        ts = [(-1) ** i * (i // 2 + 1) for i in range(v.n // 2)]
-        dets = [_det_int(v.entries)] + [1 if t == 1 else _det_int(v.pencil(t)) for t in ts]
-        v._delta = _half_interpolate(ts, dets)
+        rows, n = v.entries, v.n
+        bound = math.prod(math.isqrt(sum(x * x for x in r)) + math.isqrt(sum(x * x for x in c)) + 2
+                          for r, c in zip(rows, zip(*rows)))
+        narrow = [e for e in _MERSENNE_NARROW if 1 << e > 2 * bound + 1]
+        exps, m, d = iter(narrow[:1] or _MERSENNE_WIDE), 1, [0] * (n + 1)
+        while m <= 2 * bound:
+            p = (1 << next(exps)) - 1
+            aug = [[x % p for x in (*a, *r)] for a, r in zip(v.pencil(1), rows)]
+            for k in range(n):  # Gauss-Jordan on [A | V], dropping each used pivot column
+                piv = next(i for i in range(k, n) if aug[i][0])
+                aug[k], aug[piv] = aug[piv], aug[k]
+                inv = pow(aug[k][0], -1, p)
+                rk = [x * inv % p for x in aug[k][1:]]
+                aug = [rk if i == k else [(x - r[0] * y) % p for x, y in zip(r[1:], rk)]
+                       if r[0] else r[1:] for i, r in enumerate(aug)]
+            dp = []
+            for ck in _charpoly_mod(aug, p):  # S_k = (t - 1) S_(k-1) + c_k t^k
+                dp = [(a - b) % p for a, b in zip([0] + dp, dp + [-ck])]
+            inv = pow(m, -1, p)
+            d = [x + m * ((y - x) * inv % p) for x, y in zip(d, dp)]
+            m *= p
+        v._delta = LaurentPoly({k - n // 2: x - m if 2 * x > m else x for k, x in enumerate(d)})
         assert v._delta.at_pm1(1) == 1, "Delta(1) = det(V - V^T) must be 1"
     return v._delta
 

@@ -396,16 +396,16 @@ def test_readme_tour(tmp_path, capsys, monkeypatch):
 def count_kernels(monkeypatch):
     """Record each call of seifert's exact kernels as (kernel, size of the matrix it serves).
 
-    One Alexander polynomial of an n x n matrix is n/2 determinants of size n
-    (t = 0, -1, 2, -2, ...; t = 1 is free) and one _half_interpolate call on
-    those values at n/2 points; one signature of V + V^T is one _signature_int
-    call of size n.
+    One Alexander polynomial of an n x n matrix is one _charpoly_mod call of
+    size n per prime modulus, and no determinant; an 8 x 8 matrix with entries
+    of size at most 5 needs one modulus.  One signature of V + V^T is one
+    _signature_int call of size n, and SeifertMatrix checks det(V - V^T) with
+    one _det_int call of size n.
     """
     calls = []
-    for name, size in (("_det_int", len), ("_signature_int", len),
-                       ("_half_interpolate", lambda ts: 2 * len(ts))):
-        def counted(*args, _name=name, _size=size, _kernel=getattr(_seifert, name)):
-            calls.append((_name, _size(args[0])))
+    for name in ("_det_int", "_signature_int", "_charpoly_mod"):
+        def counted(*args, _name=name, _kernel=getattr(_seifert, name)):
+            calls.append((_name, len(args[0])))
             return _kernel(*args)
         monkeypatch.setattr(_seifert, name, counted)
     return calls
@@ -417,7 +417,7 @@ def test_invariants_computes_alexander_once(capsys, monkeypatch):
                        "--json")
     assert code == 0
     assert len(json.loads(out)["levine_tristram"]) == 2
-    assert sum(name == "_half_interpolate" for name, _ in calls) == 1
+    assert sum(name == "_charpoly_mod" for name, _ in calls) == 1
 
 
 def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch):
@@ -427,10 +427,9 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     path = tmp_path / "m8.json"
     path.write_text(json.dumps({"n": n, "entries": entries}), encoding="utf-8")
     calls = count_kernels(monkeypatch)
-    # one V - V^T check, one sigma, one Delta (n/2 determinants); Arf and the
-    # determinant come from Delta(-1), and each omega adds one signature of size 2n
-    one_pass = sorted([("_det_int", n)] * (n // 2 + 1)
-                      + [("_half_interpolate", n), ("_signature_int", n)])
+    # one V - V^T check, one sigma, one Delta (one characteristic polynomial); Arf
+    # and the determinant come from Delta(-1), and each omega adds one signature of size 2n
+    one_pass = sorted([("_det_int", n), ("_charpoly_mod", n), ("_signature_int", n)])
 
     record = KnotRecord(name="k", seifert_matrix=_seifert.SeifertMatrix(entries), sigma=sigma)
     aggregate(record.validate())

@@ -14,9 +14,10 @@ from conftest import (alexander_full, arf_gf2, float_levine_tristram, float_sign
 from slicegate.bounds import Interval
 from slicegate.cli import main
 from slicegate.laurent import InvalidAlexanderError, LaurentPoly, normalize
-from slicegate.seifert import (NotASeifertMatrixError, SeifertMatrix, _half_interpolate,
-                               alexander, arf, arf_murasugi, determinant,
-                               genus_bounds_from_matrix, levine_tristram, signature)
+from slicegate import seifert as _seifert
+from slicegate.seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf,
+                               arf_murasugi, determinant, genus_bounds_from_matrix,
+                               levine_tristram, signature)
 
 V_TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 V_FIG8 = SeifertMatrix([[1, 1], [0, -1]])
@@ -136,12 +137,62 @@ def test_alexander_examples():
         assert alexander(vb) == LaurentPoly({1: -b, 0: 2 * b + 1, -1: -b})
 
 
+def direct_sum(a, b):
+    """Block-diagonal matrix a (+) b of two square integer matrices."""
+    na, nb = len(a), len(b)
+    return ([list(r) + [0] * nb for r in a] + [[0] * na + list(r) for r in b])
+
+
+def congruent(v, p):
+    """P V P^T for square integer matrices V and P."""
+    n = len(v)
+    pv = [[sum(p[i][k] * v[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(pv[i][k] * p[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def reversed_pairing(rng, n):
+    """A Seifert matrix whose V - V^T pairs basis vector i with n - 1 - i.
+
+    The first column of V - V^T is zero except in the last row, so eliminating
+    it modulo a prime needs a row swap across the whole matrix.
+    """
+    v = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v[i][j] = v[j][i] = rng.randint(-3, 3)
+    for i in range(n // 2):
+        v[i][n - 1 - i] += 1
+    return v
+
+
+def hadamard_log2(entries):
+    """log2 of prod_i (|row_i V| + |col_i V|), which bounds every coefficient of det(V - tV^T)."""
+    return sum(math.log2(math.hypot(*r) + math.hypot(*c)) for r, c in zip(entries, zip(*entries)))
+
+
 def test_alexander_matches_full_interpolation_oracle():
-    # n/2 determinants and the palindromic solve against all n + 1 values and Lagrange
+    # one characteristic polynomial per modulus against all n + 1 values and Lagrange
     rng = random.Random(2024)
     cases = [make_valid_seifert(rng, n) for n in range(2, 26, 2) for _ in range(17)]
     cases += [make_valid_seifert(rng, n) for n in (32, 40)]
     assert len(cases) >= 200
+    knot = make_valid_seifert(rng, 4)
+    # det V = 0, so D(t) has no constant and no top term
+    cases += [direct_sum([[0, 1], [0, 0]], knot), direct_sum(knot, [[0, 1], [0, 0]])]
+    # block sums leave columns with no entry below the subdiagonal in the Hessenberg step
+    cases += [direct_sum(make_valid_seifert(rng, a), make_valid_seifert(rng, b))
+              for a, b in ((2, 2), (2, 6), (6, 4), (10, 10))]
+    cases += [direct_sum(direct_sum(V_TREFOIL.entries, V_FIG8.entries), V_TREFOIL.entries)]
+    # the first pivot of the solve modulo p is in the last row
+    cases += [reversed_pairing(rng, n) for n in (2, 4, 8, 12)]
+    # block sums with interleaved bases force a row swap in the Hessenberg step
+    for a, b in ((4, 4), (6, 8)):
+        perm = list(range(a + b))
+        perm[1], perm[a] = a, 1
+        p = [[int(j == perm[i]) for j in range(a + b)] for i in range(a + b)]
+        cases.append(congruent(direct_sum(make_valid_seifert(rng, a), make_valid_seifert(rng, b)),
+                               p))
+    cases.append([])
     for entries in cases:
         v = SeifertMatrix(entries)
         delta = alexander(v)
@@ -149,14 +200,60 @@ def test_alexander_matches_full_interpolation_oracle():
         assert delta.at_pm1(-1) in (determinant(v), -determinant(v))
 
 
-def test_half_interpolation_checks_integrality():
-    # D(t) = 2 - 5t + 2t^2 from D(0) = 2 and D(1) = -1
-    assert _half_interpolate([1], [2, -1]) == LaurentPoly({-1: 2, 0: -5, 1: 2})
-    # P(s) = (s - 1)^2 from P(2) = 1 and P(-2) = D(-1) = 9: the trefoil's Delta, squared
-    trefoil = LaurentPoly({-1: 1, 0: -1, 1: 1})
-    assert _half_interpolate([1, -1], [1, 1, 9]) == trefoil * trefoil
-    with pytest.raises(AssertionError):
-        _half_interpolate([1, -1], [1, 1, 6])  # P(s) = s^2 - 5s/4 + ... is not integral
+def test_alexander_with_three_moduli(monkeypatch):
+    # entries up to 50 at n = 32 give a bound near 2^264, above 2^127 * 2^107
+    entries = make_valid_seifert(random.Random(5), 32, bound=50)
+    assert hadamard_log2(entries) > 127 + 107
+    moduli = []
+
+    def counted(h, p, _kernel=_seifert._charpoly_mod):
+        moduli.append(p)
+        return _kernel(h, p)
+
+    monkeypatch.setattr(_seifert, "_charpoly_mod", counted)
+    assert alexander(SeifertMatrix(entries)) == alexander_full(entries)
+    assert len(set(moduli)) == len(moduli) >= 3
+
+
+def test_alexander_moduli_are_mersenne_primes():
+    # Lucas-Lehmer on every modulus up to 2^4423 - 1; the larger exponents are
+    # further terms of the known list (OEIS A000043), too slow to check here
+    exponents = set(_seifert._MERSENNE_NARROW + _seifert._MERSENNE_WIDE)
+    assert {13, 61, 127, 521} <= exponents
+    for e in sorted(e for e in exponents if e <= 4423):
+        s, p = 4, (1 << e) - 1
+        for _ in range(e - 2):
+            s = (s * s - 2) % p
+        assert s == 0, e
+
+
+def test_alexander_coefficients_within_the_hadamard_bound():
+    rng = random.Random(19)
+    for n in (2, 4, 8, 12, 16, 20, 24, 32, 40):
+        for bound in (3, 5, 50):
+            entries = make_valid_seifert(rng, n, bound=bound)
+            top = max(abs(c) for c in alexander(SeifertMatrix(entries)).coeffs.values())
+            assert math.log2(top) <= hadamard_log2(entries) + 1e-9, (n, bound)
+
+
+def test_alexander_metamorphic_relations():
+    from conftest import random_unimodular
+
+    # Delta is a congruence invariant, unchanged by V -> V^T and V -> -V^T, and
+    # multiplicative under block sums
+    rng = random.Random(404)
+    for n in (2, 4, 6, 8, 12, 20, 40):
+        for _ in range(3 if n <= 12 else 1):
+            entries = make_valid_seifert(rng, n)
+            delta = alexander(SeifertMatrix(entries))
+            transpose = [list(c) for c in zip(*entries)]
+            assert alexander(SeifertMatrix(transpose)) == delta
+            assert alexander(SeifertMatrix([[-x for x in r] for r in transpose])) == delta
+            p = random_unimodular(rng, n, ops=rng.randint(1, 6))
+            assert alexander(SeifertMatrix(congruent(entries, p))) == delta
+            other = make_valid_seifert(rng, rng.choice([2, 4, 6]))
+            both = SeifertMatrix(direct_sum(entries, other))
+            assert alexander(both) == delta * alexander(SeifertMatrix(other))
 
 
 def test_alexander_2x2_expansion_oracle():
