@@ -2,12 +2,13 @@
 polynomial, determinant, Levine-Tristram signatures, and genus bounds.
 
 Everything is exact integer arithmetic.  One fraction-free symmetric
-elimination gives the signature of V + V^T and, through an integer real
-form taken on the same arc of the unit circle, every Levine-Tristram
-signature; the Arf invariant follows from the determinant by Levine's
-criterion, and det(V - t V^T) from one characteristic polynomial modulo each
-of one or two fixed primes, sized by a Hadamard bound.  The signature and the
-Alexander polynomial are each computed at most once per matrix.
+elimination gives the signature of V + V^T and, over the Gaussian integers on
+the n x n Hermitian form taken on the same arc of the unit circle, every
+Levine-Tristram signature; the Arf invariant follows from the determinant by
+Levine's criterion, and det(V - t V^T) from one characteristic polynomial
+modulo a single fixed prime up to 2^255 - 19, sized by a Hadamard bound.  The
+signature and the Alexander polynomial are each computed at most once per
+matrix, and so is the Sturm chain that Levine-Tristram signatures share.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ class SeifertMatrix:
 
     The 0x0 matrix is the Seifert matrix of the unknot.  Instances are
     immutable; all invariant computations are pure functions of them.
-    signature() and alexander() keep their results in _sigma and _delta.
+    signature() and alexander() keep their results in _sigma and _delta, and
+    levine_tristram() the Sturm chain of Delta's trace polynomial in _chain.
     """
 
-    __slots__ = ("_rows", "_sigma", "_delta")
+    __slots__ = ("_rows", "_sigma", "_delta", "_chain")
 
     def __init__(self, entries):
         try:
@@ -48,7 +50,7 @@ class SeifertMatrix:
         if n % 2:
             raise NotASeifertMatrixError(f"size {n} is odd; Seifert matrices have even size")
         self._rows = rows
-        self._sigma = self._delta = None
+        self._sigma = self._delta = self._chain = None
         if n and (d := _det_int(self.pencil(1))) not in (1, -1):
             raise NotASeifertMatrixError(f"det(V - V^T) = {d}, expected +/-1")
 
@@ -115,44 +117,64 @@ def _det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _signature_int(a) -> int:
-    """Signature of a symmetric integer matrix by fraction-free symmetric elimination.
+def _signature_int(a, b=None) -> int:
+    """Signature of the Hermitian matrix a + i*b (b skew, or None for a real a) by elimination.
 
-    Bareiss steps with symmetric (row and column) pivoting keep every entry
-    an integer minor of a matrix congruent to the input, so each division is
+    Fraction-free (Bareiss) steps with symmetric pivoting keep every entry a
+    minor in Z[i] of a matrix congruent to the input, so each division is
     exact.  The k-th pivot is the leading principal minor d_k of that matrix,
-    and the diagonal of its LDL^T form is d_k / d_(k-1), so every step adds the
-    sign of d_k * d_(k-1).  When the remaining diagonal is all zero but some
-    m_ij is not, the congruence row_i += row_j, col_i += col_j puts 2 m_ij on
-    the diagonal; it acts linearly on the minors, so the invariant survives.
+    real as it is Hermitian, and the diagonal of its LDL^* form is d_k / d_(k-1),
+    so every step adds the sign of d_k * d_(k-1).  When the remaining diagonal
+    is all zero but some m_ij is not, the congruence row_i += c row_j, col_i +=
+    conj(c) col_j puts 2 Re m_ij (c = 1) or 2 Im m_ij (c = i) on the diagonal;
+    it acts linearly on the minors, so the invariant survives.
     """
-    m = [list(r) for r in a]
+    m, mi = [list(r) for r in a], b and [list(r) for r in b]
+    parts = (m, mi) if mi else (m,)
     n = len(m)
     sig = 0
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][i]), None)
         if piv is None:
-            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]), None)
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                         if any(x[i][j] for x in parts)), None)
             if pair is None:
                 break  # the rest of the form is zero
             piv, j = pair
-            for c in range(k, n):
-                m[piv][c] += m[j][c]
-            for r in range(k, n):
-                m[r][piv] += m[r][j]
+            if m[piv][j]:  # c = 1
+                for x in parts:
+                    for c in range(k, n):
+                        x[piv][c] += x[j][c]
+                    for r in range(k, n):
+                        x[r][piv] += x[r][j]
+            else:  # c = i
+                for c in range(k, n):
+                    m[piv][c], mi[piv][c] = m[piv][c] - mi[j][c], mi[piv][c] + m[j][c]
+                for r in range(k, n):
+                    m[r][piv], mi[r][piv] = m[r][piv] + mi[r][j], mi[r][piv] - m[r][j]
         if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for row in m:
-                row[k], row[piv] = row[piv], row[k]
+            for x in parts:
+                x[k], x[piv] = x[piv], x[k]
+                for row in x:
+                    row[k], row[piv] = row[piv], row[k]
         p = m[k][k]
         sig += 1 if (p > 0) == (prev > 0) else -1
         rk = m[k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            mik = ri[k]
-            for j in range(i, n):
-                ri[j] = m[j][i] = (ri[j] * p - mik * rk[j]) // prev
+        if not mi:  # real-only update
+            for i in range(k + 1, n):
+                ri = m[i]
+                mik = ri[k]
+                for j in range(i, n):
+                    ri[j] = m[j][i] = (ri[j] * p - mik * rk[j]) // prev
+        else:  # m_ij p - m_ik m_kj with m_ik = conj(m_ki), on both parts
+            ik = mi[k]
+            for i in range(k + 1, n):
+                ri, ii, ar, ai = m[i], mi[i], m[i][k], mi[i][k]
+                for j in range(i, n):
+                    ri[j] = m[j][i] = (ri[j] * p - ar * rk[j] + ai * ik[j]) // prev
+                    y = ii[j] = (ii[j] * p - ar * ik[j] - ai * rk[j]) // prev
+                    mi[j][i] = -y
         prev = p
     return sig
 
@@ -169,8 +191,10 @@ def determinant(v: SeifertMatrix) -> int:
     return abs(_det_int(v.pencil(-1)))
 
 
-# exponents e of the Mersenne primes 2^e - 1 that alexander computes modulo
-_MERSENNE_NARROW = (13, 17, 19, 31, 61, 89, 107, 127)
+# alexander reads Delta modulo the narrowest of these ascending primes above 2B, else
+# modulo the Mersenne primes 2^e - 1 for the wide exponents in turn
+_PRIMES = (*((1 << e) - 1 for e in (13, 17, 19, 31, 61, 89, 107, 127)),
+           2**192 - 2**64 - 1, 2**224 - 2**96 + 1, 2**255 - 19)
 _MERSENNE_WIDE = (127, 107, 89, 61, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
                   11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091, 756839, 859433)
 
@@ -215,16 +239,17 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
     W = A^-1 V, D(t) = det(V - tV^T) = det((1 - t)W + tI) = sum c_k t^k (t - 1)^(n-k)
     for det(xI - W) = sum c_k x^k.  On |t| = 1, B = prod_i (|row_i V| + |col_i V|)
     bounds |D| (Hadamard) and so each coefficient (Cauchy).  D is read modulo the
-    narrowest Mersenne prime above 2B, or the wide ones in turn until their product is.
+    narrowest fixed prime above 2B, up to 2^255 - 19, or past that modulo the wide
+    Mersenne primes in turn until their product is above 2B (CRT).
     """
     if v._delta is None:
         rows, n = v.entries, v.n
         bound = math.prod(math.isqrt(sum(x * x for x in r)) + math.isqrt(sum(x * x for x in c)) + 2
                           for r, c in zip(rows, zip(*rows)))
-        narrow = [e for e in _MERSENNE_NARROW if 1 << e > 2 * bound + 1]
-        exps, m, d = iter(narrow[:1] or _MERSENNE_WIDE), 1, [0] * (n + 1)
+        narrow = [p for p in _PRIMES if p > 2 * bound]
+        primes, m, d = iter(narrow[:1] or ((1 << e) - 1 for e in _MERSENNE_WIDE)), 1, [0] * (n + 1)
         while m <= 2 * bound:
-            p = (1 << next(exps)) - 1
+            p = next(primes)
             aug = [[x % p for x in (*a, *r)] for a, r in zip(v.pencil(1), rows)]
             for k in range(n):  # Gauss-Jordan on [A | V], dropping each used pivot column
                 piv = next(i for i in range(k, n) if aug[i][0])
@@ -348,15 +373,14 @@ def _compare_tan(u: Fraction, w: Fraction) -> int:
         bits *= 2
 
 
-def _arc_point(delta: LaurentPoly, w: Fraction) -> Fraction:
+def _arc_point(chain, w: Fraction) -> Fraction:
     """A rational u' with no unit-circle root of Delta between its angle and tan(pi * w).
 
     Bisects [0, q], which holds tan(pi * p/q) < cot(pi / 2q) < q, keeping the
     target inside by exact comparison, until a Sturm count certifies that
-    the trace polynomial has no root on the interval, mapped to s = u^2.  It
-    ends because Delta does not vanish at omega.
+    the trace polynomial, whose Sturm chain is given, has no root on the
+    interval, mapped to s = u^2.  It ends because Delta does not vanish at omega.
     """
-    chain = _sturm_chain(_trace_poly(delta))
     lo, hi = Fraction(0), Fraction(w.denominator)
     while not _root_free(chain, lo * lo, hi * hi):
         mid = (lo + hi) / 2
@@ -379,7 +403,7 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     for 0 < p/q < 1/2 the matrix is sin(2*pi*p/q) * (uS - iA) with S = V + V^T,
     A = V - V^T, u = tan(pi*p/q); its signature is constant on the arc
     between roots of Delta, so a rational u' = a/b on the same arc gives it
-    as half the signature of the integer form [[aS, bA], [-bA, aS]].
+    as the signature of the n x n Gaussian-integer Hermitian form aS - i*bA.
     Conjugate angles have equal signatures, and p/q = 1/2 is the signature.
     """
     w = _frac(omega) % 1
@@ -396,12 +420,12 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     if (w.denominator <= 2 * delta_poly.degree ** 2
             and _poly_div_exact(delta_poly.coeffs, _cyclotomic(w.denominator)) is not None):
         return None
-    u = _arc_point(delta, w)
+    if v._chain is None:
+        v._chain = _sturm_chain(_trace_poly(delta))
+    u = _arc_point(v._chain, w)
     a, b = u.numerator, u.denominator
-    s = [[a * x for x in row] for row in v.pencil(-1)]
-    t = [[b * x for x in row] for row in v.pencil(1)]
-    form = [sr + tr for sr, tr in zip(s, t)] + [[-x for x in tr] + sr for sr, tr in zip(s, t)]
-    return _signature_int(form) // 2
+    return _signature_int([[a * x for x in row] for row in v.pencil(-1)],
+                          [[-b * x for x in row] for row in v.pencil(1)])
 
 
 def genus_bounds_from_matrix(v: SeifertMatrix) -> GenusBounds:

@@ -1,11 +1,13 @@
 """Shared helpers: random Seifert-matrix generators, the float signature and
-Levine-Tristram oracles, the GF(2) Arf oracle, the full-interpolation
-Alexander oracle and the Kronecker factorization oracle."""
+Levine-Tristram oracles, the realified Levine-Tristram oracle, the GF(2) Arf
+oracle, the full-interpolation Alexander oracle and the Kronecker
+factorization oracle."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -38,9 +40,19 @@ def random_skew_unimodular(rng, n, ops=3):
     return [[sum(pj[i][k] * p[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
+MAX_REJECTED_DRAWS = 1000
+
+
 def make_valid_seifert(rng, n, bound=5):
-    """Entries of a valid Seifert matrix (V - V^T unimodular) within |entry| <= bound."""
-    while True:
+    """Entries of a valid Seifert matrix (V - V^T unimodular) within |entry| <= bound.
+
+    A draw whose skew part pushes an entry past the bound is rejected whole, so
+    acceptance falls fast with n at small bounds (at n = 40 and bound 3, a
+    seeded sample rejected 36 draws per matrix on average); after
+    MAX_REJECTED_DRAWS rejections it raises RuntimeError instead of looping
+    for minutes.
+    """
+    for _ in range(MAX_REJECTED_DRAWS + 1):
         skew = random_skew_unimodular(rng, n, ops=rng.randint(0, 3))
         sym = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -49,6 +61,8 @@ def make_valid_seifert(rng, n, bound=5):
         v = [[sym[i][j] + (skew[i][j] if i < j else 0) for j in range(n)] for i in range(n)]
         if all(abs(x) <= bound for row in v for x in row):
             return v
+    raise RuntimeError(f"make_valid_seifert: {MAX_REJECTED_DRAWS} draws rejected at n = {n}, "
+                       f"bound = {bound}; use a larger bound")
 
 
 def make_invalid_seifert(rng, n, bound=5):
@@ -89,6 +103,37 @@ def float_levine_tristram(entries, omega, tol=1e-9):
     if (abs(eigs) <= tol).any():
         return None
     return int((eigs > tol).sum()) - int((eigs < -tol).sum())
+
+
+def realified_levine_tristram(entries, omega):
+    """Oracle: Levine-Tristram signature as half the signature of the 2n x 2n real form.
+
+    The exact path before the Hermitian kernel: the same singularity test and
+    rational arc point u = a/b as levine_tristram, then the integer symmetric
+    form [[aS, bA], [-bA, aS]] (S = V + V^T, A = V - V^T), the realification of
+    aS - i*bA, whose signature is twice the Hermitian one.  None when singular.
+    """
+    from slicegate.laurent import _sturm_chain
+    from slicegate.seifert import (SeifertMatrix, _arc_point, _cyclotomic, _signature_int,
+                                   _trace_poly, alexander, signature)
+
+    v = SeifertMatrix(entries)
+    w = Fraction(omega) % 1
+    w = min(w, 1 - w)
+    if w == Fraction(1, 2):
+        return signature(v)
+    if v.n == 0:
+        return 0
+    delta = alexander(v)
+    poly = [delta.coeffs.get(k, 0) for k in range(-delta.max_exp, delta.max_exp + 1)]
+    if _poly_div_exact(poly, _cyclotomic(w.denominator)) is not None:
+        return None
+    u = _arc_point(_sturm_chain(_trace_poly(delta)), w)
+    a, b = u.numerator, u.denominator
+    s = [[a * x for x in row] for row in v.pencil(-1)]
+    t = [[b * x for x in row] for row in v.pencil(1)]
+    form = [sr + tr for sr, tr in zip(s, t)] + [[-x for x in tr] + sr for sr, tr in zip(s, t)]
+    return _signature_int(form) // 2
 
 
 def alexander_full(entries):

@@ -397,10 +397,11 @@ def count_kernels(monkeypatch):
     """Record each call of seifert's exact kernels as (kernel, size of the matrix it serves).
 
     One Alexander polynomial of an n x n matrix is one _charpoly_mod call of
-    size n per prime modulus, and no determinant; an 8 x 8 matrix with entries
-    of size at most 5 needs one modulus.  One signature of V + V^T is one
-    _signature_int call of size n, and SeifertMatrix checks det(V - V^T) with
-    one _det_int call of size n.
+    size n per prime modulus, and no determinant; with entries of size at most
+    5 one modulus serves up to n = 40.  One signature of V + V^T, and one
+    Levine-Tristram signature, is one _signature_int call of size n (on the
+    real, or the n x n Hermitian, form), and SeifertMatrix checks det(V - V^T)
+    with one _det_int call of size n.
     """
     calls = []
     for name in ("_det_int", "_signature_int", "_charpoly_mod"):
@@ -428,7 +429,8 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     path.write_text(json.dumps({"n": n, "entries": entries}), encoding="utf-8")
     calls = count_kernels(monkeypatch)
     # one V - V^T check, one sigma, one Delta (one characteristic polynomial); Arf
-    # and the determinant come from Delta(-1), and each omega adds one signature of size 2n
+    # and the determinant come from Delta(-1), and each omega adds one Hermitian
+    # signature of size n
     one_pass = sorted([("_det_int", n), ("_charpoly_mod", n), ("_signature_int", n)])
 
     record = KnotRecord(name="k", seifert_matrix=_seifert.SeifertMatrix(entries), sigma=sigma)
@@ -440,13 +442,20 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     code, _, _ = run(capsys, "invariants", "--matrix-file", str(path),
                      "--omega", "1/3", "--omega", "2/5")
     assert code == 0
-    assert sorted(c for c in calls if c[1] >= n) == sorted(
-        one_pass + [("_signature_int", 2 * n)] * 2)
+    assert sorted(c for c in calls if c[1] >= n) == sorted(one_pass + [("_signature_int", n)] * 2)
 
     calls.clear()
     code, _, _ = run(capsys, "obstruct", "--matrix-file", str(path))
     assert code == 0
     assert sorted(c for c in calls if c[1] >= n) == one_pass
+
+    # one prime modulus serves n = 32 with entries of size at most 5 too, and each
+    # omega is one Hermitian signature of size n
+    calls.clear()
+    big = _seifert.SeifertMatrix(make_valid_seifert(random.Random(32), 32))
+    values = [_seifert.levine_tristram(big, w) for w in ("1/3", "2/5")]
+    assert sorted(calls) == sorted([("_det_int", 32), ("_charpoly_mod", 32)]
+                                   + [("_signature_int", 32)] * 2), values
 
 
 def test_closed_stdout_ends_quietly_with_the_commands_exit_code(tmp_path):

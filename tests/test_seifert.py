@@ -57,6 +57,14 @@ def test_validation_random_matrices():
             SeifertMatrix(make_invalid_seifert(rng, n))
 
 
+def test_make_valid_seifert_gives_up_at_small_bounds(monkeypatch):
+    import conftest
+
+    monkeypatch.setattr(conftest, "MAX_REJECTED_DRAWS", 3)
+    with pytest.raises(RuntimeError, match="n = 40, bound = 1"):
+        conftest.make_valid_seifert(random.Random(1), 40, bound=1)
+
+
 def test_signature_examples():
     assert signature(V_TREFOIL) == -2
     assert signature(V_FIG8) == 0
@@ -108,6 +116,109 @@ def test_congruence_reduction_against_numpy_on_arbitrary_symmetric_input():
         eigs = np.linalg.eigvalsh(np.array(a, dtype=float))
         approx = int((eigs > 1e-9).sum()) - int((eigs < -1e-9).sum())
         assert exact == approx, a
+
+
+def random_hermitian(rng, n):
+    """Parts (a, b) of an integer Hermitian matrix a + i*b: a symmetric, b skew.
+
+    Some are singular (a signed sum of fewer than n rank-one terms x x^*), and
+    some have a zero diagonal with purely real or purely imaginary entries
+    off it, so the elimination must cure a zero diagonal with c = 1 or c = i.
+    """
+    a = [[0] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    kind = rng.choice(["dense", "low rank", "zero diagonal, real", "zero diagonal, imaginary"])
+    if kind == "low rank":
+        for _ in range(rng.randint(0, n - 1)):
+            x = [complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+            sign = rng.choice([-1, 1])
+            for i in range(n):
+                for j in range(n):
+                    z = sign * x[i] * x[j].conjugate()
+                    a[i][j] += int(z.real)
+                    b[i][j] += int(z.imag)
+        return a, b
+    for i in range(n):
+        for j in range(i, n):
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            if i == j:
+                a[i][i] = 0 if kind != "dense" or rng.random() < 0.3 else x
+            elif kind.endswith("real") or kind == "dense" and rng.random() < 0.3:
+                a[i][j] = a[j][i] = x
+            elif kind.endswith("imaginary"):
+                b[i][j], b[j][i] = y, -y
+            else:
+                a[i][j] = a[j][i] = x
+                b[i][j], b[j][i] = y, -y
+    return a, b
+
+
+def test_hermitian_kernel_against_numpy():
+    # the Gaussian-integer elimination against eigenvalue counting, on singular
+    # matrices and on zero diagonals that need each congruence cure
+    import numpy as np
+    from slicegate.seifert import _signature_int
+
+    assert _signature_int([[0, 0], [0, 0]], [[0, 1], [-1, 0]]) == 0  # c = i
+    assert _signature_int([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0] * 3] * 3) == 0  # c = 1
+    assert _signature_int([[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+                          [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]) == 1  # eigenvalues -2, 1, 1
+    assert _signature_int([[1, 0], [0, 1]], [[0, 1], [-1, 0]]) == 1  # singular: eigenvalues 0, 2
+    rng = random.Random(3141)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        a, b = random_hermitian(rng, n)
+        h = np.array(a, dtype=complex) + 1j * np.array(b, dtype=float)
+        eigs = np.linalg.eigvalsh(h)
+        approx = int((eigs > 1e-9).sum()) - int((eigs < -1e-9).sum())
+        assert _signature_int(a, b) == approx, (a, b)
+        kinds.add((any(map(any, a)), any(map(any, b)), any(a[i][i] for i in range(n))))
+    assert {(True, False, False), (False, True, False)} <= kinds
+
+
+def test_levine_tristram_matches_realified_oracle():
+    # the n x n Hermitian form against half the signature of the 2n x 2n real one
+    from conftest import realified_levine_tristram
+
+    rng = random.Random(1968)
+    angles = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 7), Fraction(3, 7), Fraction(5, 12)]
+    cases = [make_valid_seifert(rng, n) for n in (2, 4, 6, 8, 10, 12) for _ in range(4)]
+    cases += [make_valid_seifert(rng, n, bound=3) for n in (16, 20, 32, 40)]
+    for entries in cases:
+        v = SeifertMatrix(entries)
+        for w in angles if len(entries) <= 12 else angles[:2]:
+            assert levine_tristram(v, w) == realified_levine_tristram(entries, w), (entries, w)
+
+
+def test_levine_tristram_metamorphic_relations():
+    from conftest import random_unimodular
+
+    # sigma_omega is unchanged by congruence and V -> V^T, changes sign under
+    # V -> -V^T and adds under block sums; K # -K, which is slice, has
+    # sigma_omega = 0 wherever Delta(omega) != 0, and there only
+    rng = random.Random(4004)
+    angles = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 7), Fraction(3, 7), Fraction(1, 6)]
+    for n in (2, 4, 6, 8, 12, 20, 40):
+        for _ in range(3 if n <= 12 else 1):
+            entries = make_valid_seifert(rng, n, bound=5 if n <= 20 else 3)
+            transpose = [list(c) for c in zip(*entries)]
+            mirror = [[-x for x in r] for r in transpose]
+            p = random_unimodular(rng, n, ops=rng.randint(1, 6))
+            other = make_valid_seifert(rng, rng.choice([2, 4, 6]))
+            v, w = SeifertMatrix(entries), SeifertMatrix(other)
+            same = [SeifertMatrix(transpose), SeifertMatrix(congruent(entries, p))]
+            both = SeifertMatrix(direct_sum(entries, other))
+            slice_ = SeifertMatrix(direct_sum(entries, mirror))
+            for omega in angles if n <= 12 else angles[:2]:
+                sigma = levine_tristram(v, omega)
+                assert all(levine_tristram(x, omega) == sigma for x in same), (entries, omega)
+                flipped = levine_tristram(SeifertMatrix(mirror), omega)
+                assert flipped == (None if sigma is None else -sigma)
+                tau = levine_tristram(w, omega)
+                added = None if sigma is None or tau is None else sigma + tau
+                assert levine_tristram(both, omega) == added, (entries, other, omega)
+                assert levine_tristram(slice_, omega) == (None if sigma is None else 0)
 
 
 def test_signature_congruence_invariance():
@@ -202,8 +313,10 @@ def test_alexander_matches_full_interpolation_oracle():
 
 def test_alexander_with_three_moduli(monkeypatch):
     # entries up to 50 at n = 32 give a bound near 2^264, above 2^127 * 2^107
+    # and above the widest single prime 2^255 - 19
     entries = make_valid_seifert(random.Random(5), 32, bound=50)
     assert hadamard_log2(entries) > 127 + 107
+    assert 2 * hadamard_bound(entries) > max(_seifert._PRIMES)
     moduli = []
 
     def counted(h, p, _kernel=_seifert._charpoly_mod):
@@ -215,16 +328,73 @@ def test_alexander_with_three_moduli(monkeypatch):
     assert len(set(moduli)) == len(moduli) >= 3
 
 
-def test_alexander_moduli_are_mersenne_primes():
-    # Lucas-Lehmer on every modulus up to 2^4423 - 1; the larger exponents are
-    # further terms of the known list (OEIS A000043), too slow to check here
-    exponents = set(_seifert._MERSENNE_NARROW + _seifert._MERSENNE_WIDE)
+def miller_rabin(p, bases):
+    """True when the odd p > bases[-1] is a strong probable prime to every base."""
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_alexander_moduli_are_primes():
+    # the single moduli ascend; Lucas-Lehmer on every Mersenne modulus up to
+    # 2^4423 - 1 (the larger exponents are further terms of the known list,
+    # OEIS A000043, too slow to check here); Miller-Rabin to the first 20 prime
+    # bases, with the stated bit length, on the others
+    single = _seifert._PRIMES
+    assert list(single) == sorted(single)
+    exponents = {p.bit_length() for p in single if p & (p + 1) == 0}
+    exponents |= set(_seifert._MERSENNE_WIDE)
     assert {13, 61, 127, 521} <= exponents
     for e in sorted(e for e in exponents if e <= 4423):
         s, p = 4, (1 << e) - 1
         for _ in range(e - 2):
             s = (s * s - 2) % p
         assert s == 0, e
+    bases = [q for q in range(2, 72) if all(q % d for d in range(2, q))]
+    assert len(bases) == 20
+    others = {p.bit_length(): p for p in single if p & (p + 1)}
+    assert others == {192: 2**192 - 2**64 - 1, 224: 2**224 - 2**96 + 1, 255: 2**255 - 19}
+    for p in others.values():
+        assert miller_rabin(p, bases), p
+    assert not miller_rabin(2**192 - 2**64 + 1, bases)  # the test rejects a composite
+
+
+def hadamard_bound(entries):
+    """prod_i (isqrt(|row_i V|^2) + isqrt(|col_i V|^2) + 2), the bound B alexander sizes by."""
+    return math.prod(math.isqrt(sum(x * x for x in r)) + math.isqrt(sum(x * x for x in c)) + 2
+                     for r, c in zip(entries, zip(*entries)))
+
+
+@pytest.mark.parametrize("n, bound, prime", [
+    (32, 5, 2**192 - 2**64 - 1),
+    (40, 5, 2**224 - 2**96 + 1),
+    (40, 7, 2**255 - 19),
+], ids=("p192", "p224", "p25519"))
+def test_alexander_one_modulus_in_each_prime_window(monkeypatch, n, bound, prime):
+    # 2B lies above every narrower fixed prime and below this one, so one residue pass serves
+    entries = make_valid_seifert(random.Random(n * 100 + bound), n, bound=bound)
+    narrower = [p for p in _seifert._PRIMES if p < prime]
+    assert max(narrower) <= 2 * hadamard_bound(entries) < prime
+    moduli = []
+
+    def counted(h, p, _kernel=_seifert._charpoly_mod):
+        moduli.append(p)
+        return _kernel(h, p)
+
+    monkeypatch.setattr(_seifert, "_charpoly_mod", counted)
+    assert alexander(SeifertMatrix(entries)) == alexander_full(entries)
+    assert moduli == [prime]
 
 
 def test_alexander_coefficients_within_the_hadamard_bound():
@@ -425,10 +595,26 @@ def test_genus_bounds_from_matrix():
     assert genus_bounds_from_matrix(V_FIG8).g4 == Interval(0, 1)
 
 
+def test_levine_tristram_builds_one_sturm_chain_per_matrix(monkeypatch):
+    chains = []
+
+    def counted(f, _kernel=_seifert._sturm_chain):
+        chains.append(f)
+        return _kernel(f)
+
+    monkeypatch.setattr(_seifert, "_sturm_chain", counted)
+    v = SeifertMatrix(make_valid_seifert(random.Random(81), 8))
+    values = [levine_tristram(v, w) for w in ("1/3", "2/5", "1/7", "3/7", "1/2")]
+    assert len(chains) == 1, values
+    fresh = SeifertMatrix(v.entries)
+    assert [levine_tristram(fresh, w) for w in ("1/3", "2/5")] == values[:2]
+    assert len(chains) == 2
+
+
 def test_memo_keeps_equality_hash_pickle_and_deepcopy():
     entries = make_valid_seifert(random.Random(8), 6)
     v, fresh = SeifertMatrix(entries), SeifertMatrix(entries)
-    sigma, delta = signature(v), alexander(v)
+    sigma, delta, lt = signature(v), alexander(v), levine_tristram(v, "1/3")
     assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
     assert v.to_json() == fresh.to_json()
     copies = [pickle.loads(pickle.dumps(v, protocol))
@@ -436,4 +622,5 @@ def test_memo_keeps_equality_hash_pickle_and_deepcopy():
     for other in copies:
         assert other == v == fresh and hash(other) == hash(v)
         assert signature(other) == sigma and alexander(other) == delta
+        assert levine_tristram(other, "1/3") == lt
     assert signature(fresh) == sigma and alexander(fresh) == delta
