@@ -5,9 +5,10 @@ Everything is exact integer arithmetic.  One fraction-free symmetric
 elimination gives the signature of V + V^T and, over the Gaussian integers on
 the n x n Hermitian form taken on the same arc of the unit circle, every
 Levine-Tristram signature; the Arf invariant follows from the determinant by
-Levine's criterion, and det(V - t V^T) from one characteristic polynomial
-modulo a single fixed prime up to 2^255 - 19, sized by a Hadamard bound.  The
-signature and the Alexander polynomial are each computed at most once per
+Levine's criterion, and det(V - t V^T) from the characteristic polynomial of
+the small integer matrix W = (V - V^T)^-1 V, reduced left-looking to Hessenberg
+form modulo a single fixed prime up to 2^255 - 19, sized by a Hadamard bound.
+The signature and the Alexander polynomial are each computed at most once per
 matrix, and so is the Sturm chain that Levine-Tristram signatures share.
 """
 
@@ -199,36 +200,43 @@ _MERSENNE_WIDE = (127, 107, 89, 61, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423
                   11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091, 756839, 859433)
 
 
-def _charpoly_mod(h, p: int) -> list[int]:
-    """det(xI - H) mod the prime p, ascending, for a square residue matrix H (reduced in place).
+def _charpoly_mod(w, p: int) -> list[int]:
+    """det(xI - W) mod the prime p, ascending, for a square integer matrix W (permuted in place).
 
-    Similarities make H upper Hessenberg (a column's row steps share one pivot row, so
-    their inverses commute into one column update), then Cohen's Alg. 2.2.9 reads it off.
+    Builds W L = L H a column at a time, L unit lower triangular and H upper Hessenberg
+    (left-looking Gaussian similarity).  Column k of H is W l_k forward-substituted
+    against L's rows 0..k; the residual below row k gives h_(k+1,k), its pivot row
+    (swapped into row k + 1 of W, L and the residual) and l_(k+1), or l_(k+1) = e_(k+1)
+    and h_(k+1,k) = 0 when it is zero.  Every entry is one dot product reduced once, and
+    the n^3/2 products in the W l_k take W's entries as given.  Cohen's Alg. 2.2.9
+    reads det(xI - H) off each new column.
     """
-    n = len(h)
-    for k in range(n - 2):
-        j = k + 1
-        piv = next((i for i in range(j, n) if h[i][k]), None)
-        if piv is None:
-            continue
-        h[j], h[piv] = h[piv], h[j]
-        for row in h:
-            row[j], row[piv] = row[piv], row[j]
-        rj, inv = h[j][k:], pow(h[j][k], -1, p)
-        us = [h[i][k] * inv % p for i in range(j + 1, n)]
-        for i, u in enumerate(us, j + 1):
-            if u:  # columns left of k are zero in rows j and below
-                h[i][k:] = [(x - u * y) % p for x, y in zip(h[i][k:], rj)]
-        for row in h:
-            row[j] = (row[j] + sum(map(operator.mul, us, row[j + 1:]))) % p
-    polys = [[1]]
-    for m in range(n):
-        acc, t = [a - h[m][m] * b for a, b in zip([0] + polys[m], polys[m] + [0])], 1
-        for i in range(m - 1, -1, -1):
-            t = t * h[i + 1][i] % p
-            f = t * h[i][m]
+    n = len(w)
+    lrows, sub, lk, polys = [[]] + [[0] for _ in range(1, n)], [], [1], [[1]]
+    for k in range(n):
+        wl, h = [sum(map(operator.mul, row[k:], lk)) for row in w], []
+        for a in range(k + 1):  # lrows[i] holds l_0[i], l_1[i], ... below L's diagonal
+            h.append((wl[a] - sum(map(operator.mul, h, lrows[a]))) % p)
+        res = [(wl[j] - sum(map(operator.mul, h, lrows[j]))) % p for j in range(k + 1, n)]
+        acc, t = [a - h[k] * b for a, b in zip([0] + polys[k], polys[k] + [0])], 1
+        for i in range(k - 1, -1, -1):
+            t = t * sub[i] % p
+            f = t * h[i] % p
             acc[:i + 1] = [a - f * b for a, b in zip(acc, polys[i])]
         polys.append([a % p for a in acc])
+        if res:
+            j = k + 1
+            if not res[0] and any(res):
+                i = next(i for i, x in enumerate(res) if x)
+                w[j], w[j + i], lrows[j], lrows[j + i] = w[j + i], w[j], lrows[j + i], lrows[j]
+                for row in w:
+                    row[j], row[j + i] = row[j + i], row[j]
+                res[0], res[i] = res[i], res[0]
+            inv = pow(res[0], -1, p) if res[0] else 0  # a zero residual: l_(k+1) = e_(k+1)
+            sub.append(res[0])  # h_(k+1,k)
+            lk = [1] + [x * inv % p for x in res[1:]]
+            for row, x in zip(lrows[j + 1:], lk[1:]):
+                row.append(x)
     return polys[n]
 
 
@@ -240,7 +248,9 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
     for det(xI - W) = sum c_k x^k.  On |t| = 1, B = prod_i (|row_i V| + |col_i V|)
     bounds |D| (Hadamard) and so each coefficient (Cauchy).  D is read modulo the
     narrowest fixed prime above 2B, up to 2^255 - 19, or past that modulo the wide
-    Mersenne primes in turn until their product is above 2B (CRT).
+    Mersenne primes in turn until their product is above 2B (CRT).  W's residues go
+    to the kernel in (-p/2, p/2], where they are W's own small entries, so its
+    matrix-vector products multiply small integers by residues.
     """
     if v._delta is None:
         rows, n = v.entries, v.n
@@ -258,7 +268,7 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
                 rk = [x * inv % p for x in aug[k][1:]]
                 aug = [rk if i == k else [(x - r[0] * y) % p for x, y in zip(r[1:], rk)]
                        if r[0] else r[1:] for i, r in enumerate(aug)]
-            dp = []
+            dp, aug = [], [[x - p if 2 * x > p else x for x in r] for r in aug]  # W's small entries
             for ck in _charpoly_mod(aug, p):  # S_k = (t - 1) S_(k-1) + c_k t^k
                 dp = [(a - b) % p for a, b in zip([0] + dp, dp + [-ck])]
             inv = pow(m, -1, p)
@@ -319,15 +329,11 @@ def _trace_poly(delta: LaurentPoly) -> list[int]:
     return out
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = [s for s in (_poly_eval(p, x) for p in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-
-def _root_free(chain, lo: Fraction, hi: Fraction) -> bool:
-    """True when chain[0] has no root in the closed interval [lo, hi] (Sturm count)."""
-    return (_poly_eval(chain[0], lo) != 0 and _poly_eval(chain[0], hi) != 0
-            and _sign_changes(chain, lo) == _sign_changes(chain, hi))
+def _sign_changes(chain, x: Fraction) -> int | None:
+    """Sign changes along the Sturm chain at x, or None when x is a root of chain[0]."""
+    values = [_poly_eval(p, x) for p in chain]
+    signs = [s for s in values if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0)) if values[0] else None
 
 
 def _atan_bounds(a: int, b: int, bits: int) -> tuple[int, int]:
@@ -377,20 +383,23 @@ def _arc_point(chain, w: Fraction) -> Fraction:
     """A rational u' with no unit-circle root of Delta between its angle and tan(pi * w).
 
     Bisects [0, q], which holds tan(pi * p/q) < cot(pi / 2q) < q, keeping the
-    target inside by exact comparison, until a Sturm count certifies that
-    the trace polynomial, whose Sturm chain is given, has no root on the
-    interval, mapped to s = u^2.  It ends because Delta does not vanish at omega.
+    target inside by exact comparison, until equal Sturm counts at both ends
+    certify that the trace polynomial, whose Sturm chain is given, has no root
+    on the interval, mapped to s = u^2.  The end that stays keeps its count, so
+    each step evaluates the chain once.  It ends because Delta does not vanish
+    at omega.
     """
     lo, hi = Fraction(0), Fraction(w.denominator)
-    while not _root_free(chain, lo * lo, hi * hi):
+    at_lo, at_hi = _sign_changes(chain, lo), _sign_changes(chain, hi * hi)
+    while at_lo is None or at_lo != at_hi:
         mid = (lo + hi) / 2
         side = _compare_tan(mid, w)
         if side == 0:
             return mid
         if side < 0:
-            lo = mid
+            lo, at_lo = mid, _sign_changes(chain, mid * mid)
         else:
-            hi = mid
+            hi, at_hi = mid, _sign_changes(chain, mid * mid)
     return hi
 
 

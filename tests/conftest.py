@@ -1,12 +1,14 @@
 """Shared helpers: random Seifert-matrix generators, the float signature and
-Levine-Tristram oracles, the realified Levine-Tristram oracle, the GF(2) Arf
-oracle, the full-interpolation Alexander oracle and the Kronecker
-factorization oracle."""
+Levine-Tristram oracles, the realified Levine-Tristram oracle with its
+two-ended arc-point bisection, the GF(2) Arf oracle, the full-interpolation
+Alexander oracle, the right-looking characteristic-polynomial oracle and the
+Kronecker factorization oracle."""
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -105,17 +107,48 @@ def float_levine_tristram(entries, omega, tol=1e-9):
     return int((eigs > tol).sum()) - int((eigs < -tol).sum())
 
 
+def arc_point_two_ended(chain, w):
+    """(u, steps): the arc point of seifert._arc_point and its number of bisection steps.
+
+    The bisection before one end's Sturm count carried over: every step
+    evaluates the whole chain at both ends of [lo^2, hi^2], so it takes the
+    same steps to the same point with two chain evaluations per step.
+    """
+    from slicegate.seifert import _compare_tan
+
+    def sign_changes(x):
+        signs = [s for s in (_poly_eval(p, x) for p in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+    def root_free(lo, hi):
+        return (_poly_eval(chain[0], lo) != 0 and _poly_eval(chain[0], hi) != 0
+                and sign_changes(lo) == sign_changes(hi))
+
+    lo, hi, steps = Fraction(0), Fraction(w.denominator), 0
+    while not root_free(lo * lo, hi * hi):
+        mid, steps = (lo + hi) / 2, steps + 1
+        side = _compare_tan(mid, w)
+        if side == 0:
+            return mid, steps
+        if side < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi, steps
+
+
 def realified_levine_tristram(entries, omega):
     """Oracle: Levine-Tristram signature as half the signature of the 2n x 2n real form.
 
     The exact path before the Hermitian kernel: the same singularity test and
-    rational arc point u = a/b as levine_tristram, then the integer symmetric
-    form [[aS, bA], [-bA, aS]] (S = V + V^T, A = V - V^T), the realification of
-    aS - i*bA, whose signature is twice the Hermitian one.  None when singular.
+    rational arc point u = a/b as levine_tristram, found by the two-ended
+    bisection, then the integer symmetric form [[aS, bA], [-bA, aS]]
+    (S = V + V^T, A = V - V^T), the realification of aS - i*bA, whose
+    signature is twice the Hermitian one.  None when singular.
     """
     from slicegate.laurent import _sturm_chain
-    from slicegate.seifert import (SeifertMatrix, _arc_point, _cyclotomic, _signature_int,
-                                   _trace_poly, alexander, signature)
+    from slicegate.seifert import (SeifertMatrix, _cyclotomic, _signature_int, _trace_poly,
+                                   alexander, signature)
 
     v = SeifertMatrix(entries)
     w = Fraction(omega) % 1
@@ -128,7 +161,7 @@ def realified_levine_tristram(entries, omega):
     poly = [delta.coeffs.get(k, 0) for k in range(-delta.max_exp, delta.max_exp + 1)]
     if _poly_div_exact(poly, _cyclotomic(w.denominator)) is not None:
         return None
-    u = _arc_point(_sturm_chain(_trace_poly(delta)), w)
+    u, _ = arc_point_two_ended(_sturm_chain(_trace_poly(delta)), w)
     a, b = u.numerator, u.denominator
     s = [[a * x for x in row] for row in v.pencil(-1)]
     t = [[b * x for x in row] for row in v.pencil(1)]
@@ -153,6 +186,42 @@ def alexander_full(entries):
     assert cs is not None and cs == cs[::-1], "det(V - tV^T) must be palindromic on [0, n]"
     poly = LaurentPoly({e - n // 2: c for e, c in enumerate(cs)})
     return poly if poly.at_pm1(1) == 1 else -poly
+
+
+def charpoly_mod_right_looking(h, p):
+    """Oracle: det(xI - H) mod the prime p, ascending, for a square residue matrix H.
+
+    The kernel before the left-looking one.  Similarities reduce H in place to
+    upper Hessenberg form one column at a time, eliminating below the
+    subdiagonal with every row update reduced mod p (a column's row steps share
+    one pivot row, so their inverses commute into one column update); then
+    Cohen's Alg. 2.2.9 reads the characteristic polynomial off H.
+    """
+    n = len(h)
+    for k in range(n - 2):
+        j = k + 1
+        piv = next((i for i in range(j, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        h[j], h[piv] = h[piv], h[j]
+        for row in h:
+            row[j], row[piv] = row[piv], row[j]
+        rj, inv = h[j][k:], pow(h[j][k], -1, p)
+        us = [h[i][k] * inv % p for i in range(j + 1, n)]
+        for i, u in enumerate(us, j + 1):
+            if u:  # columns left of k are zero in rows j and below
+                h[i][k:] = [(x - u * y) % p for x, y in zip(h[i][k:], rj)]
+        for row in h:
+            row[j] = (row[j] + sum(map(operator.mul, us, row[j + 1:]))) % p
+    polys = [[1]]
+    for m in range(n):
+        acc, t = [a - h[m][m] * b for a, b in zip([0] + polys[m], polys[m] + [0])], 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            f = t * h[i][m]
+            acc[:i + 1] = [a - f * b for a, b in zip(acc, polys[i])]
+        polys.append([a % p for a in acc])
+    return polys[n]
 
 
 # -- Kronecker factorization, the oracle for laurent.factor ------------------

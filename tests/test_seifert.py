@@ -177,18 +177,38 @@ def test_hermitian_kernel_against_numpy():
     assert {(True, False, False), (False, True, False)} <= kinds
 
 
-def test_levine_tristram_matches_realified_oracle():
-    # the n x n Hermitian form against half the signature of the 2n x 2n real one
-    from conftest import realified_levine_tristram
+def test_levine_tristram_matches_realified_oracle(monkeypatch):
+    # the n x n Hermitian form against half the signature of the 2n x 2n real one.
+    # The arc point's bisection keeps the Sturm count of the end that stays, so s
+    # steps evaluate the chain s + 2 times, not the two-ended 2s + 2, and reach
+    # the two-ended bisection's point
+    from conftest import arc_point_two_ended, realified_levine_tristram
 
+    calls = []
+
+    def counted(chain, x, _kernel=_seifert._sign_changes):
+        calls.append(x)
+        return _kernel(chain, x)
+
+    monkeypatch.setattr(_seifert, "_sign_changes", counted)
     rng = random.Random(1968)
     angles = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 7), Fraction(3, 7), Fraction(5, 12)]
     cases = [make_valid_seifert(rng, n) for n in (2, 4, 6, 8, 10, 12) for _ in range(4)]
     cases += [make_valid_seifert(rng, n, bound=3) for n in (16, 20, 32, 40)]
+    bisected = 0
     for entries in cases:
         v = SeifertMatrix(entries)
-        for w in angles if len(entries) <= 12 else angles[:2]:
-            assert levine_tristram(v, w) == realified_levine_tristram(entries, w), (entries, w)
+        for w in angles if len(entries) <= 12 else angles[:4]:
+            calls.clear()
+            sigma = levine_tristram(v, w)
+            evaluations = len(calls)
+            assert sigma == realified_levine_tristram(entries, w), (entries, w)
+            if sigma is not None:
+                u, steps = arc_point_two_ended(v._chain, w)
+                assert evaluations == steps + 2, (entries, w)
+                assert _seifert._arc_point(v._chain, w) == u
+                bisected += steps > 0
+    assert bisected >= 40
 
 
 def test_levine_tristram_metamorphic_relations():
@@ -395,6 +415,76 @@ def test_alexander_one_modulus_in_each_prime_window(monkeypatch, n, bound, prime
     monkeypatch.setattr(_seifert, "_charpoly_mod", counted)
     assert alexander(SeifertMatrix(entries)) == alexander_full(entries)
     assert moduli == [prime]
+
+
+P224 = 2**224 - 2**96 + 1
+
+
+def symmetric_range(w, p):
+    """The residues of an integer matrix mod p, taken in (-p/2, p/2]."""
+    return [[x % p - p if 2 * (x % p) > p else x % p for x in r] for r in w]
+
+
+def test_charpoly_mod_matches_right_looking_oracle():
+    # the left-looking W L = L H against the right-looking reduction.  Small primes
+    # make zero residuals (h_(k+1,k) = 0, l_(k+1) = e_(k+1)) and residuals that
+    # need a pivot swap common; block sums break down at every prime, and
+    # permuting them interleaves the blocks, so a swap is needed there too
+    from conftest import charpoly_mod_right_looking
+
+    rng = random.Random(1965)
+
+    def residues(n, p, density=1.0):
+        return [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+
+    def permuted(w):
+        perm = rng.sample(range(len(w)), len(w))
+        return congruent(w, [[int(j == perm[i]) for j in range(len(w))] for i in range(len(w))])
+
+    cases = []
+    for p in (2, 3, 5, 7, 2**61 - 1, P224):
+        for n in range(13):
+            cases += [(residues(n, p, density), p) for density in (0.15, 0.5, 1.0)]
+            a = rng.randint(0, n)
+            block = direct_sum(residues(a, p), residues(n - a, p))
+            cases += [(block, p), (permuted(block), p)]
+    small = [[rng.randint(-8, 8) for _ in range(40)] for _ in range(40)]
+    cases += [(small, P224), (residues(40, P224), P224)]
+    block = direct_sum(residues(17, P224), direct_sum(small[:9], residues(14, P224)))
+    cases += [(block, P224), (permuted(block), P224)]
+    for w, p in cases:
+        want = charpoly_mod_right_looking([[x % p for x in r] for r in w], p)
+        assert len(want) == len(w) + 1 and want[-1] == 1
+        for given in ([[x % p for x in r] for r in w], symmetric_range(w, p)):
+            assert _seifert._charpoly_mod(given, p) == want, (w, p)
+
+
+def test_alexander_hands_the_kernel_w_in_the_symmetric_range(monkeypatch):
+    # W = (V - V^T)^-1 V is integral with small entries; alexander passes its
+    # residues in (-p/2, p/2], which are W itself: (V - V^T) W = V over Z
+    from conftest import charpoly_mod_right_looking
+
+    seen, kernel = [], _seifert._charpoly_mod
+
+    def counted(w, p):
+        seen.append(([list(r) for r in w], p))
+        return kernel(w, p)
+
+    monkeypatch.setattr(_seifert, "_charpoly_mod", counted)
+    for n, bound in ((2, 5), (8, 5), (20, 50), (40, 5)):
+        entries = make_valid_seifert(random.Random(n), n, bound=bound)
+        v = SeifertMatrix(entries)
+        alexander(v)
+        w, p = seen[-1]
+        assert all(-p < 2 * x <= p for r in w for x in r)
+        assert max(abs(x) for r in w for x in r) < 2**8, n
+        a = v.pencil(1)
+        assert [[sum(a[i][k] * w[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [list(r) for r in entries]
+        assert kernel([list(r) for r in w], p) == charpoly_mod_right_looking(
+            [[x % p for x in r] for r in w], p)
+    assert len(seen) == 4
 
 
 def test_alexander_coefficients_within_the_hadamard_bound():
