@@ -616,30 +616,19 @@ def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
 
     counts = Counter(f.coeffs for f in factors)
     half: list[tuple[int, ...]] = []
-    for cs in sorted(counts):
-        k = counts[cs]
-        if k == 0:
-            continue
+    for cs, k in sorted(counts.items()):
         star = _reciprocal(cs)
-        if star == cs:
-            if k % 2:
-                return FoxMilnorResult(
-                    False, reason=f"self-reciprocal factor {IntPoly(cs)} has odd multiplicity {k}")
-            half.extend([cs] * (k // 2))
-            counts[cs] = 0
-        else:
-            if counts.get(star, 0) != k:
-                return FoxMilnorResult(
-                    False,
-                    reason=f"factor {IntPoly(cs)} does not pair with its reciprocal {IntPoly(star)}")
-            half.extend([min(cs, star)] * k)
-            counts[cs] = 0
-            counts[star] = 0
+        if star == cs and k % 2:
+            return FoxMilnorResult(
+                False, reason=f"self-reciprocal factor {IntPoly(cs)} has odd multiplicity {k}")
+        if star != cs and counts[star] != k:
+            return FoxMilnorResult(
+                False,
+                reason=f"factor {IntPoly(cs)} does not pair with its reciprocal {IntPoly(star)}")
+        if cs <= star:
+            half.extend([cs] * (k // 2 if star == cs else k))
 
-    f_cs = [1]
-    for cs in half:
-        f_cs = _poly_mul(f_cs, list(cs))
-    witness = IntPoly(f_cs)
+    witness = IntPoly(reduce(_poly_mul, half, [1]))
     wl = witness.to_laurent()
     product = wl * wl.involute()
     q_prod, u_prod = normalize(product)

@@ -7,20 +7,21 @@ the n x n Hermitian form taken on the same arc of the unit circle, every
 Levine-Tristram signature; the Arf invariant follows from the determinant by
 Levine's criterion, and det(V - t V^T) from the characteristic polynomial of
 the small integer matrix W = (V - V^T)^-1 V, reduced left-looking to Hessenberg
-form modulo a single fixed prime up to 2^255 - 19, sized by a Hadamard bound.
+form modulo the one tabled prime that a Hadamard bound sizes.
 The signature and the Alexander polynomial are each computed at most once per
 matrix, and so is the Sturm chain that Levine-Tristram signatures share.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .bounds import GenusBounds, Interval
-from .laurent import (LaurentPoly, _poly_div_exact, _poly_eval, _poly_mul, _sturm_chain,
+from .laurent import (LaurentPoly, _poly_div_exact, _poly_mul, _sturm_chain,
                       _wire_int, check_alexander, normalize)
 from .plfunc import _frac
 
@@ -192,12 +193,15 @@ def determinant(v: SeifertMatrix) -> int:
     return abs(_det_int(v.pencil(-1)))
 
 
-# alexander reads Delta modulo the narrowest of these ascending primes above 2B, else
-# modulo the Mersenne primes 2^e - 1 for the wide exponents in turn
-_PRIMES = (*((1 << e) - 1 for e in (13, 17, 19, 31, 61, 89, 107, 127)),
-           2**192 - 2**64 - 1, 2**224 - 2**96 + 1, 2**255 - 19)
-_MERSENNE_WIDE = (127, 107, 89, 61, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
-                  11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091, 756839, 859433)
+# alexander reads Delta modulo the narrowest prime above 2B, in this order.  Past 2^255 - 19:
+# the Mersenne primes, and 2^e - k, k least odd, for e = 128j <= 2048 but 512 and 1280
+_PRIMES = (*((1 << e) - 1 for e in (13, 17, 19, 31, 61, 89, 107, 127)), 2**192 - 2**64 - 1,
+           2**224 - 2**96 + 1, *((1 << e) - k for e, k in (
+               (255, 19), (384, 317), (521, 1), (607, 1), (640, 305), (768, 825), (896, 213),
+               (1024, 105), (1152, 927), (1279, 1), (1408, 413), (1536, 3453), (1664, 1233),
+               (1792, 963), (1920, 1503), (2048, 1557), (2203, 1))))
+_MERSENNE_WIDE = (2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243,
+                  110503, 132049, 216091, 756839, 859433)
 
 
 def _charpoly_mod(w, p: int) -> list[int]:
@@ -246,35 +250,30 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
     A = V - V^T is skew and unimodular, so det A = 1 and A^-1 is integral.  With
     W = A^-1 V, D(t) = det(V - tV^T) = det((1 - t)W + tI) = sum c_k t^k (t - 1)^(n-k)
     for det(xI - W) = sum c_k x^k.  On |t| = 1, B = prod_i (|row_i V| + |col_i V|)
-    bounds |D| (Hadamard) and so each coefficient (Cauchy).  D is read modulo the
-    narrowest fixed prime above 2B, up to 2^255 - 19, or past that modulo the wide
-    Mersenne primes in turn until their product is above 2B (CRT).  W's residues go
-    to the kernel in (-p/2, p/2], where they are W's own small entries, so its
-    matrix-vector products multiply small integers by residues.
+    bounds |D| (Hadamard) and so each coefficient (Cauchy): one residue pass modulo the
+    narrowest tabled prime above 2B reads D, and past the widest one a ValueError names n.
+    W's residues go to the kernel in (-p/2, p/2], where they are W's own small entries,
+    so its matrix-vector products multiply small integers by residues.
     """
     if v._delta is None:
         rows, n = v.entries, v.n
         bound = math.prod(math.isqrt(sum(x * x for x in r)) + math.isqrt(sum(x * x for x in c)) + 2
                           for r, c in zip(rows, zip(*rows)))
-        narrow = [p for p in _PRIMES if p > 2 * bound]
-        primes, m, d = iter(narrow[:1] or ((1 << e) - 1 for e in _MERSENNE_WIDE)), 1, [0] * (n + 1)
-        while m <= 2 * bound:
-            p = next(primes)
-            aug = [[x % p for x in (*a, *r)] for a, r in zip(v.pencil(1), rows)]
-            for k in range(n):  # Gauss-Jordan on [A | V], dropping each used pivot column
-                piv = next(i for i in range(k, n) if aug[i][0])
-                aug[k], aug[piv] = aug[piv], aug[k]
-                inv = pow(aug[k][0], -1, p)
-                rk = [x * inv % p for x in aug[k][1:]]
-                aug = [rk if i == k else [(x - r[0] * y) % p for x, y in zip(r[1:], rk)]
-                       if r[0] else r[1:] for i, r in enumerate(aug)]
-            dp, aug = [], [[x - p if 2 * x > p else x for x in r] for r in aug]  # W's small entries
-            for ck in _charpoly_mod(aug, p):  # S_k = (t - 1) S_(k-1) + c_k t^k
-                dp = [(a - b) % p for a, b in zip([0] + dp, dp + [-ck])]
-            inv = pow(m, -1, p)
-            d = [x + m * ((y - x) * inv % p) for x, y in zip(d, dp)]
-            m *= p
-        v._delta = LaurentPoly({k - n // 2: x - m if 2 * x > m else x for k, x in enumerate(d)})
+        primes = itertools.chain(_PRIMES, ((1 << e) - 1 for e in _MERSENNE_WIDE))  # lazily
+        if (p := next((p for p in primes if p > 2 * bound), None)) is None:
+            raise ValueError(f"Delta at n = {n} needs a prime above 2^{(2 * bound).bit_length()}")
+        aug = [[x % p for x in (*a, *r)] for a, r in zip(v.pencil(1), rows)]
+        for k in range(n):  # Gauss-Jordan on [A | V], dropping each used pivot column
+            piv = next(i for i in range(k, n) if aug[i][0])
+            aug[k], aug[piv] = aug[piv], aug[k]
+            inv = pow(aug[k][0], -1, p)
+            rk = [x * inv % p for x in aug[k][1:]]
+            aug = [rk if i == k else [(x - r[0] * y) % p for x, y in zip(r[1:], rk)]
+                   if r[0] else r[1:] for i, r in enumerate(aug)]
+        d, aug = [], [[x - p if 2 * x > p else x for x in r] for r in aug]  # W's small entries
+        for ck in _charpoly_mod(aug, p):  # S_k = (t - 1) S_(k-1) + c_k t^k
+            d = [(a - b) % p for a, b in zip([0] + d, d + [-ck])]
+        v._delta = LaurentPoly({k - n // 2: x - p if 2 * x > p else x for k, x in enumerate(d)})
         assert v._delta.at_pm1(1) == 1, "Delta(1) = det(V - V^T) must be 1"
     return v._delta
 
@@ -329,11 +328,15 @@ def _trace_poly(delta: LaurentPoly) -> list[int]:
     return out
 
 
-def _sign_changes(chain, x: Fraction) -> int | None:
-    """Sign changes along the Sturm chain at x, or None when x is a root of chain[0]."""
-    values = [_poly_eval(p, x) for p in chain]
-    signs = [s for s in values if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0)) if values[0] else None
+def _sign_changes(chain, x: Fraction) -> int:
+    """Sign changes along the Sturm chain at x >= 0, each term evaluated on integers."""
+    a, b, signs = x.numerator, x.denominator, []
+    for p in chain:
+        value = 0
+        for i, c in enumerate(reversed(p)):  # homogeneous Horner: den^deg * p(num/den)
+            value = value * a + c * b ** i
+        signs += [value > 0] if value else []
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _atan_bounds(a: int, b: int, bits: int) -> tuple[int, int]:
@@ -390,8 +393,10 @@ def _arc_point(chain, w: Fraction) -> Fraction:
     at omega.
     """
     lo, hi = Fraction(0), Fraction(w.denominator)
+    # E = chain[0] is nonzero here: E(0) = Delta(1) = 1, and by Gauss's lemma a root (a/b)^2,
+    # a != 0, gives Delta a factor worth 4a^2/g >= 2 (g <= 2) at t = 1, which Delta(1) = 1 bars
     at_lo, at_hi = _sign_changes(chain, lo), _sign_changes(chain, hi * hi)
-    while at_lo is None or at_lo != at_hi:
+    while at_lo != at_hi:
         mid = (lo + hi) / 2
         side = _compare_tan(mid, w)
         if side == 0:

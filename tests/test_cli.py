@@ -397,8 +397,7 @@ def count_kernels(monkeypatch):
     """Record each call of seifert's exact kernels as (kernel, size of the matrix it serves).
 
     One Alexander polynomial of an n x n matrix is one _charpoly_mod call of
-    size n per prime modulus, and no determinant; with entries of size at most
-    5 one modulus serves up to n = 40.  One signature of V + V^T, and one
+    size n, modulo one prime, and no determinant.  One signature of V + V^T, and one
     Levine-Tristram signature, is one _signature_int call of size n (on the
     real, or the n x n Hermitian, form), and SeifertMatrix checks det(V - V^T)
     with one _det_int call of size n.

@@ -177,6 +177,23 @@ def test_hermitian_kernel_against_numpy():
     assert {(True, False, False), (False, True, False)} <= kinds
 
 
+def test_sign_changes_on_integers_match_the_fraction_values():
+    # den^deg * p(num/den) has the sign of p(x); and E = chain[0] has no root at 0 or
+    # at a rational square, which _arc_point relies on
+    from slicegate.laurent import _poly_eval, _sturm_chain
+
+    rng = random.Random(31)
+    for n in (2, 4, 8, 12, 20):
+        delta = alexander(SeifertMatrix(make_valid_seifert(rng, n)))
+        chain = _sturm_chain(_seifert._trace_poly(delta))
+        points = [Fraction(rng.randint(0, 400), rng.randint(1, 60)) for _ in range(40)]
+        for x in [Fraction(0), Fraction(1), Fraction(1, 4)] + [u * u for u in points] + points:
+            signs = [s for s in (_poly_eval(p, x) for p in chain) if s]
+            want = sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+            assert _seifert._sign_changes(chain, x) == want, (n, x)
+        assert all(_poly_eval(chain[0], u * u) for u in [Fraction(0)] + points)
+
+
 def test_levine_tristram_matches_realified_oracle(monkeypatch):
     # the n x n Hermitian form against half the signature of the 2n x 2n real one.
     # The arc point's bisection keeps the Sturm count of the end that stays, so s
@@ -302,7 +319,7 @@ def hadamard_log2(entries):
 
 
 def test_alexander_matches_full_interpolation_oracle():
-    # one characteristic polynomial per modulus against all n + 1 values and Lagrange
+    # one characteristic polynomial modulo one prime against all n + 1 values and Lagrange
     rng = random.Random(2024)
     cases = [make_valid_seifert(rng, n) for n in range(2, 26, 2) for _ in range(17)]
     cases += [make_valid_seifert(rng, n) for n in (32, 40)]
@@ -331,23 +348,6 @@ def test_alexander_matches_full_interpolation_oracle():
         assert delta.at_pm1(-1) in (determinant(v), -determinant(v))
 
 
-def test_alexander_with_three_moduli(monkeypatch):
-    # entries up to 50 at n = 32 give a bound near 2^264, above 2^127 * 2^107
-    # and above the widest single prime 2^255 - 19
-    entries = make_valid_seifert(random.Random(5), 32, bound=50)
-    assert hadamard_log2(entries) > 127 + 107
-    assert 2 * hadamard_bound(entries) > max(_seifert._PRIMES)
-    moduli = []
-
-    def counted(h, p, _kernel=_seifert._charpoly_mod):
-        moduli.append(p)
-        return _kernel(h, p)
-
-    monkeypatch.setattr(_seifert, "_charpoly_mod", counted)
-    assert alexander(SeifertMatrix(entries)) == alexander_full(entries)
-    assert len(set(moduli)) == len(moduli) >= 3
-
-
 def miller_rabin(p, bases):
     """True when the odd p > bases[-1] is a strong probable prime to every base."""
     d, r = p - 1, 0
@@ -367,15 +367,16 @@ def miller_rabin(p, bases):
 
 
 def test_alexander_moduli_are_primes():
-    # the single moduli ascend; Lucas-Lehmer on every Mersenne modulus up to
-    # 2^4423 - 1 (the larger exponents are further terms of the known list,
-    # OEIS A000043, too slow to check here); Miller-Rabin to the first 20 prime
-    # bases, with the stated bit length, on the others
+    # the table ascends; Lucas-Lehmer on every Mersenne modulus up to 2^4423 - 1
+    # (the larger exponents are further terms of the known list, OEIS A000043, too
+    # slow to check here); Miller-Rabin to the first 20 prime bases on the others,
+    # each 2^e - k from 2^255 on, and up to 2^1024 k is the least odd that passes it
     single = _seifert._PRIMES
-    assert list(single) == sorted(single)
+    assert list(single) == sorted(single) and single[-1] < 2 ** _seifert._MERSENNE_WIDE[0] - 1
+    assert list(_seifert._MERSENNE_WIDE) == sorted(_seifert._MERSENNE_WIDE)
     exponents = {p.bit_length() for p in single if p & (p + 1) == 0}
     exponents |= set(_seifert._MERSENNE_WIDE)
-    assert {13, 61, 127, 521} <= exponents
+    assert {13, 61, 127, 521, 607, 1279, 2203, 2281} <= exponents
     for e in sorted(e for e in exponents if e <= 4423):
         s, p = 4, (1 << e) - 1
         for _ in range(e - 2):
@@ -384,9 +385,16 @@ def test_alexander_moduli_are_primes():
     bases = [q for q in range(2, 72) if all(q % d for d in range(2, q))]
     assert len(bases) == 20
     others = {p.bit_length(): p for p in single if p & (p + 1)}
-    assert others == {192: 2**192 - 2**64 - 1, 224: 2**224 - 2**96 + 1, 255: 2**255 - 19}
-    for p in others.values():
+    # 2^512 and 2^1280 are left out, next to 2^521 - 1 and 2^1279 - 1
+    assert set(others) == {192, 224, 255} | set(range(384, 2049, 128)) - {512, 1280}
+    assert others[192] == 2**192 - 2**64 - 1 and others[224] == 2**224 - 2**96 + 1
+    small = math.prod(q for q in range(3, 1000, 2) if all(q % d for d in range(3, q, 2)))
+    for e, p in others.items():
         assert miller_rabin(p, bases), p
+        if 255 <= e <= 1024:  # no 2^e - j with j odd, j < k passes (wider takes seconds)
+            assert not any(math.gcd(c, small) == 1 and miller_rabin(c, bases)
+                           for c in range((1 << e) - 1, p, -2)), e
+    assert others[255] == 2**255 - 19
     assert not miller_rabin(2**192 - 2**64 + 1, bases)  # the test rejects a composite
 
 
@@ -396,13 +404,20 @@ def hadamard_bound(entries):
                      for r, c in zip(entries, zip(*entries)))
 
 
-@pytest.mark.parametrize("n, bound, prime", [
-    (32, 5, 2**192 - 2**64 - 1),
-    (40, 5, 2**224 - 2**96 + 1),
-    (40, 7, 2**255 - 19),
-], ids=("p192", "p224", "p25519"))
+# (n, bound, prime) with 2B in the window of prime; at n = 8 entries of up to 2^j
+# reach each prime past 2^384 - 317, and 2^2281 - 1 is the first wide Mersenne prime
+WINDOW_CASES = [(32, 5, 2**192 - 2**64 - 1), (40, 5, 2**224 - 2**96 + 1), (40, 7, 2**255 - 19),
+                (32, 50, 2**384 - 317)] + [(8, 2**j, (1 << e) - k) for j, e, k in (
+                    (47, 521, 1), (64, 607, 1), (75, 640, 305), (79, 768, 825), (95, 896, 213),
+                    (111, 1024, 105), (127, 1152, 927), (143, 1279, 1), (158, 1408, 413),
+                    (175, 1536, 3453), (191, 1664, 1233), (207, 1792, 963), (223, 1920, 1503),
+                    (239, 2048, 1557), (255, 2203, 1), (274, 2281, 1))]
+
+
+@pytest.mark.parametrize("n, bound, prime", WINDOW_CASES, ids=["p192", "p224", "p25519"] + [
+    f"p{p.bit_length()}" for _, _, p in WINDOW_CASES[3:]])
 def test_alexander_one_modulus_in_each_prime_window(monkeypatch, n, bound, prime):
-    # 2B lies above every narrower fixed prime and below this one, so one residue pass serves
+    # 2B lies above every narrower prime and below this one, so one residue pass serves
     entries = make_valid_seifert(random.Random(n * 100 + bound), n, bound=bound)
     narrower = [p for p in _seifert._PRIMES if p < prime]
     assert max(narrower) <= 2 * hadamard_bound(entries) < prime
@@ -415,6 +430,29 @@ def test_alexander_one_modulus_in_each_prime_window(monkeypatch, n, bound, prime
     monkeypatch.setattr(_seifert, "_charpoly_mod", counted)
     assert alexander(SeifertMatrix(entries)) == alexander_full(entries)
     assert moduli == [prime]
+
+
+def test_alexander_past_the_widest_prime_raises_value_error(monkeypatch, tmp_path, capsys):
+    # a short table that a 4 x 4 matrix with entries up to 100 overflows: the error
+    # names n, and the CLI prints one error line and exits 2, with no traceback.
+    # Entries up to 4 still fit, modulo the wide 2^17 - 1
+    monkeypatch.setattr(_seifert, "_PRIMES", (2**13 - 1,))
+    monkeypatch.setattr(_seifert, "_MERSENNE_WIDE", (17, 19))
+    fits = make_valid_seifert(random.Random(4), 4, bound=4)
+    assert 2**13 - 1 < 2 * hadamard_bound(fits) < 2**17 - 1
+    assert alexander(SeifertMatrix(fits)) == alexander_full(fits)
+    entries = make_valid_seifert(random.Random(4), 4, bound=100)
+    assert 2 * hadamard_bound(entries) > 2**19 - 1
+    with pytest.raises(ValueError, match="n = 4"):
+        alexander(SeifertMatrix(entries))
+    path = tmp_path / "m4.json"
+    path.write_text(json.dumps({"n": 4, "entries": entries}), encoding="utf-8")
+    for argv in (["invariants", "--matrix-file", str(path)],
+                 ["obstruct", "--matrix-file", str(path), "--json"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+        assert "n = 4" in err and "Traceback" not in err
 
 
 P224 = 2**224 - 2**96 + 1
