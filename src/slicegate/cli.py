@@ -9,6 +9,7 @@ All numeric output is exact, rationals as p/q.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,17 +27,35 @@ from .whitehead import WhiteheadParams
 STORE_ENV = "SLICEGATE_STORE"
 
 
-def _load_store(args) -> KnotStore:
+# the options that each choose what a command reads: at most one may be given
+_SELECTORS = {
+    "invariants": ("name", "matrix_file"),
+    "obstruct": ("name", "matrix_file", "all"),
+    "cable-bounds": ("zero", "upsilon_file", "upsilon_of"),
+}
+
+
+def _check_selectors(args) -> None:
+    given = ["NAME" if d == "name" else "--" + d.replace("_", "-")
+             for d in _SELECTORS.get(args.command, ()) if getattr(args, d)]
+    if len(given) > 1:
+        raise ValueError(f"{', '.join(given[:-1])} and {given[-1]} conflict; give only one")
+
+
+def _load_store(args) -> KnotStore | None:
     """The named store file, or the seed knots when none is named.
 
     A named file that does not exist is an input error, except for
-    `import`, which creates it.
+    `import`, which creates it.  A command that reads only --matrix-file
+    gets None when no store is named: it looks nothing up.
     """
     path = args.store or os.environ.get(STORE_ENV)
     if path and os.path.exists(path):
         return knotdb.load(path)
     if path and args.fn is not _cmd_import:
         raise ValueError(f"store file {path} does not exist")
+    if getattr(args, "matrix_file", None):
+        return None
     return knotdb.seed_table()
 
 
@@ -342,7 +361,13 @@ def _cmd_show(args, store) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once and shared by every main() call in a process.
+
+    parse_args does not change a parser (`append` copies its default, and
+    defaults go into each call's fresh Namespace); do not add to this one.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--store", help=f"store file (default: ${STORE_ENV} or built-in seeds)")
@@ -416,9 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_selectors(args)
         store = _load_store(args)
         return args.fn(args, store)
     except (ValueError, UnknownKnotError, OSError) as exc:

@@ -12,6 +12,7 @@ from conftest import make_valid_seifert
 from jsonschema import validate
 
 import slicegate
+from slicegate import cli, knotdb
 from slicegate import seifert as _seifert
 from slicegate.cli import main
 from slicegate.knotdb import KnotRecord
@@ -284,6 +285,9 @@ def test_exact_rational_output(capsys):
     assert "1/2" in out and "." not in out.replace("...", "")
 
 
+TREFOIL = {"n": 2, "entries": [[-1, 1], [0, -1]]}  # a valid matrix file
+
+
 @pytest.mark.parametrize("argv, document", [
     (["invariants", "4_1", "--omega", "1/0"], None),
     (["cobordism", "--from-upsilon", "1/0", "--to-upsilon", "0", "--euler", "0"], None),
@@ -304,13 +308,25 @@ def test_exact_rational_output(capsys):
     (["obstruct", "--matrix-file", "{file}"], {"n": 2.0, "entries": [[-1, 1], [0, -1]]}),
     (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-file", "{file}"],
      {"breakpoints": [[0, 0], [[1.5, 1], -1], [2, 0]]}),
+    (["invariants", "4_1", "--matrix-file", "{file}"], TREFOIL),
+    (["obstruct", "4_1", "--matrix-file", "{file}"], TREFOIL),
+    (["obstruct", "--all", "--matrix-file", "{file}"], TREFOIL),
+    (["obstruct", "--all", "4_1"], None),
+    (["cable-bounds", "--p", "2", "--q", "1", "--zero", "--upsilon-of", "3_1"], None),
+    (["cable-bounds", "--p", "2", "--q", "1", "--zero", "--upsilon-file", "{file}"],
+     {"breakpoints": [[0, 0], [2, 0]]}),
+    (["cable-bounds", "--p", "2", "--q", "1", "--upsilon-of", "3_1", "--upsilon-file", "{file}"],
+     {"breakpoints": [[0, 0], [2, 0]]}),
 ], ids=["omega-zero-denominator", "cobordism-zero-denominator",
         "euler-range-zero-denominator", "upsilon-file-zero-denominator",
         "matrix-file-without-entries", "matrix-file-entries-not-rows",
         "omega-exponent", "from-upsilon-exponent", "to-upsilon-exponent",
         "euler-range-exponent", "upsilon-file-exponent", "matrix-file-float-entries",
         "matrix-file-string-entries", "matrix-file-bool-entries", "matrix-file-float-size",
-        "upsilon-file-float-pair"])
+        "upsilon-file-float-pair", "invariants-name-and-matrix-file",
+        "obstruct-name-and-matrix-file", "obstruct-all-and-matrix-file", "obstruct-all-and-name",
+        "cable-bounds-zero-and-upsilon-of", "cable-bounds-zero-and-upsilon-file",
+        "cable-bounds-upsilon-of-and-upsilon-file"])
 def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document):
     path = tmp_path / "input.json"
     if document is not None:
@@ -436,17 +452,18 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     aggregate(record.validate())
     assert sorted(calls) == one_pass
 
-    # the CLI also loads the seed table, whose matrices are 2 x 2
+    # with no store named, the CLI builds no seed table for a matrix file
+    monkeypatch.delenv("SLICEGATE_STORE", raising=False)
     calls.clear()
     code, _, _ = run(capsys, "invariants", "--matrix-file", str(path),
                      "--omega", "1/3", "--omega", "2/5")
     assert code == 0
-    assert sorted(c for c in calls if c[1] >= n) == sorted(one_pass + [("_signature_int", n)] * 2)
+    assert sorted(calls) == sorted(one_pass + [("_signature_int", n)] * 2)
 
     calls.clear()
     code, _, _ = run(capsys, "obstruct", "--matrix-file", str(path))
     assert code == 0
-    assert sorted(c for c in calls if c[1] >= n) == one_pass
+    assert sorted(calls) == one_pass
 
     # one prime modulus serves n = 32 with entries of size at most 5 too, and each
     # omega is one Hermitian signature of size n
@@ -455,6 +472,60 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     values = [_seifert.levine_tristram(big, w) for w in ("1/3", "2/5")]
     assert sorted(calls) == sorted([("_det_int", 32), ("_charpoly_mod", 32)]
                                    + [("_signature_int", 32)] * 2), values
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # main() reuses one parser; each in-process call reads as a fresh process does
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.delenv("SLICEGATE_STORE", raising=False)
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps(_store_with(sigma=2)), encoding="utf-8")
+    calls = [
+        ["invariants", "4_1", "--omega", "1/3", "--omega", "2/5", "--json"],
+        ["invariants", "4_1", "--json"],
+        ["invariants", "--omega"],  # an argparse usage error
+        ["invariants", "4_1", "--omega", "1/4"],
+        ["obstruct", "--all", "--store", str(store), "--fail-on-obstruction"],
+        ["obstruct", "--all", "--json"],
+        ["show", "k"],  # not in the seeds: the store above is not kept
+    ]
+    seen = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        proc = run_python("-m", "slicegate.cli", *argv)
+        assert (code, out.out, out.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        seen.append(code)
+    assert seen == [0, 0, 2, 0, 1, 0, 2]
+
+
+def test_matrix_file_alone_builds_no_seed_table(tmp_path, capsys, monkeypatch):
+    built = []
+    seed_table = knotdb.seed_table
+    monkeypatch.setattr(knotdb, "seed_table", lambda: built.append(1) or seed_table())
+    monkeypatch.delenv("SLICEGATE_STORE", raising=False)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(TREFOIL), encoding="utf-8")
+    for command in ("invariants", "obstruct"):
+        code, out, _ = run(capsys, command, "--matrix-file", str(path), "--json")
+        assert code == 0 and json.loads(out)["name"] == "m"
+    assert built == []
+
+    # a named store is still read, so a missing one is still an input error
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "invariants", "--matrix-file", str(path), "--store", str(missing))
+    assert (code, out, err) == (2, "", f"error: store file {missing} does not exist\n")
+    monkeypatch.setenv("SLICEGATE_STORE", str(missing))
+    code, out, err = run(capsys, "obstruct", "--matrix-file", str(path))
+    assert (code, out, err) == (2, "", f"error: store file {missing} does not exist\n")
+    assert built == []
+
+    monkeypatch.delenv("SLICEGATE_STORE")
+    code, _, _ = run(capsys, "invariants", "4_1")
+    assert code == 0 and built == [1]
 
 
 def test_closed_stdout_ends_quietly_with_the_commands_exit_code(tmp_path):
