@@ -129,7 +129,8 @@ def _exit_for(args, obstructed: bool) -> int:
 def _cmd_invariants(args, store) -> int:
     record = _record_for(args, store)
     facts = record_facts(record)
-    v, sigma, delta, fm = record.seifert_matrix, facts.sigma, facts.delta, facts.fm
+    v, sigma, fm = record.seifert_matrix, facts.sigma, facts.fm
+    delta = facts.delta if v is None else _seifert.alexander(v)  # facts skip a Delta no rule reads
     if delta is None:
         raise ValueError(f"record {record.name!r} carries no Seifert matrix "
                          "or Alexander polynomial")

@@ -169,8 +169,8 @@ def seed_table() -> KnotStore:
 
     Matrix conventions follow sigma(3_1) = -2 (the right-handed trefoil in
     the convention where the positive torus knot has negative signature, so
-    tau(3_1) = 1).  Stored values are re-validated against the matrices at
-    construction.
+    tau(3_1) = 1 and Rasmussen's s(3_1) = 2 tau = 2).  Stored values are
+    re-validated against the matrices at construction.
     """
     store = KnotStore()
     zero_ups = PLFunction.zero()
@@ -191,7 +191,7 @@ def seed_table() -> KnotStore:
         sigma=-2,
         arf=1,
         invariants=CompanionInvariants(
-            tau=1, epsilon=1, nu=1, s=-2,
+            tau=1, epsilon=1, nu=1, s=2,
             g4=Interval(1, 1), g3=Interval(1, 1), gamma4=Interval(1, 1),
             upsilon=PLFunction([(0, 0), (1, -1), (2, 0)])),
         provenance={"seifert_matrix": "table", "sigma": "computed", "arf": "computed",

@@ -590,6 +590,13 @@ def _reciprocal(cs: tuple[int, ...]) -> tuple[int, ...]:
     return rev
 
 
+def fox_milnor_det_check(det: int) -> FoxMilnorResult | None:
+    """Fox-Milnor's failure when det = |p(-1)| is not an odd perfect square, else None."""
+    if det % 2 == 0 or math.isqrt(det) ** 2 != det:
+        return FoxMilnorResult(False, reason=f"|p(-1)| = {det} is not an odd perfect square")
+    return None
+
+
 def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
     """Decide whether p factors as f(t) * f(t^-1) up to a unit +/- t^k.
 
@@ -605,10 +612,8 @@ def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
     v1 = p.at_pm1(1)
     if v1 not in (1, -1):
         raise InvalidAlexanderError(f"p(1) = {v1}, expected +/-1")
-    det = abs(p.at_pm1(-1))
-    r = math.isqrt(det)
-    if det % 2 == 0 or r * r != det:
-        return FoxMilnorResult(False, reason=f"|p(-1)| = {det} is not an odd perfect square")
+    if (fails := fox_milnor_det_check(abs(p.at_pm1(-1)))) is not None:
+        return fails
 
     q, unit = normalize(p)
     factors, content = factor(q)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from . import seifert as _seifert
 from .bounds import GENUS_FLOOR, GenusBounds, Interval
-from .laurent import FoxMilnorResult, LaurentPoly, fox_milnor, normalize
+from .laurent import FoxMilnorResult, LaurentPoly, fox_milnor, fox_milnor_det_check, normalize
 from .plfunc import g4_lower_bound, oss_gamma4_lower_bound, upsilon_little
 
 if TYPE_CHECKING:
@@ -62,24 +62,27 @@ def record_facts(record: "KnotRecord") -> Facts:
 
     sigma and Delta come from the Seifert matrix when the record has one
     (memo hits once validate() has checked any stored value against it), and
-    from the table otherwise.  Arf is the stored value, else Murasugi's reading
-    of the matrix's Delta, never of a Delta that is only stored.  Fox-Milnor
-    runs on Delta.
+    from the table otherwise.  Arf is the stored value, else Levine's reading
+    of the matrix's det(V + V^T), never of a Delta that is only stored.
+    Fox-Milnor runs on Delta.  A matrix's Delta is computed only when
+    |det(V + V^T)| = |Delta(-1)| is an odd square: otherwise Fox-Milnor fails
+    on that check, Freedman's unit Delta is ruled out, and delta is None.
     """
-    v, arf_val = record.seifert_matrix, record.arf
+    v, arf_val, fm = record.seifert_matrix, record.arf, None
     if v is None:
         sigma, delta = record.sigma, record.alexander
     else:
-        sigma, delta = _seifert.signature(v), _seifert.alexander(v)
+        sigma, fm = _seifert.signature(v), fox_milnor_det_check(_seifert.determinant(v))
+        delta = _seifert.alexander(v) if fm is None else None
         if arf_val is None:
-            arf_val = _seifert.arf_murasugi(delta)
+            arf_val = _seifert.arf(v)
     ups = record.invariants.upsilon
     return Facts(
         name=record.name,
         sigma=sigma,
         arf=arf_val,
         delta=delta,
-        fm=fox_milnor(delta) if delta is not None else None,
+        fm=fox_milnor(delta) if delta is not None else fm,
         upsilon_value=upsilon_little(ups) if ups is not None else None,
         surface_genus=v.n // 2 if v is not None else None,
         stored=record.invariants,

@@ -2,14 +2,15 @@
 polynomial, determinant, Levine-Tristram signatures, and genus bounds.
 
 Everything is exact integer arithmetic.  One fraction-free symmetric
-elimination gives the signature of V + V^T and, over the Gaussian integers on
-the n x n Hermitian form taken on the same arc of the unit circle, every
-Levine-Tristram signature; the Arf invariant follows from the determinant by
-Levine's criterion, and det(V - t V^T) from the characteristic polynomial of
-the small integer matrix W = (V - V^T)^-1 V, reduced left-looking to Hessenberg
-form modulo the one tabled prime that a Hadamard bound sizes.
-The signature and the Alexander polynomial are each computed at most once per
-matrix, and so is the Sturm chain that Levine-Tristram signatures share.
+elimination gives the signature of V + V^T and, as its last pivot, the
+determinant det(V + V^T), whence the Arf invariant by Levine's criterion;
+over the Gaussian integers on the n x n Hermitian form taken on the same arc
+of the unit circle it gives every Levine-Tristram signature.  det(V - t V^T)
+comes from the characteristic polynomial of the small integer matrix
+W = (V - V^T)^-1 V, reduced left-looking to Hessenberg form modulo the one
+tabled prime that a Hadamard bound sizes.  The signature with the determinant,
+and the Alexander polynomial, are each computed at most once per matrix, and
+so is the Sturm chain that Levine-Tristram signatures share.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ class SeifertMatrix:
 
     The 0x0 matrix is the Seifert matrix of the unknot.  Instances are
     immutable; all invariant computations are pure functions of them.
-    signature() and alexander() keep their results in _sigma and _delta, and
-    levine_tristram() the Sturm chain of Delta's trace polynomial in _chain.
+    signature() keeps sigma and det(V + V^T) in _sigma and _det, alexander() keeps
+    Delta in _delta, and levine_tristram() the Sturm chain of Delta's trace
+    polynomial in _chain.
     """
 
-    __slots__ = ("_rows", "_sigma", "_delta", "_chain")
+    __slots__ = ("_rows", "_sigma", "_det", "_delta", "_chain")
 
     def __init__(self, entries):
         try:
@@ -52,7 +54,7 @@ class SeifertMatrix:
         if n % 2:
             raise NotASeifertMatrixError(f"size {n} is odd; Seifert matrices have even size")
         self._rows = rows
-        self._sigma = self._delta = self._chain = None
+        self._sigma = self._det = self._delta = self._chain = None
         if n and (d := _det_int(self.pencil(1))) not in (1, -1):
             raise NotASeifertMatrixError(f"det(V - V^T) = {d}, expected +/-1")
 
@@ -119,8 +121,8 @@ def _det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _signature_int(a, b=None) -> int:
-    """Signature of the Hermitian matrix a + i*b (b skew, or None for a real a) by elimination.
+def _signature_int(a, b=None) -> tuple[int, int]:
+    """(signature, determinant) of the Hermitian matrix a + i*b (b skew, or None for a real a).
 
     Fraction-free (Bareiss) steps with symmetric pivoting keep every entry a
     minor in Z[i] of a matrix congruent to the input, so each division is
@@ -129,7 +131,9 @@ def _signature_int(a, b=None) -> int:
     so every step adds the sign of d_k * d_(k-1).  When the remaining diagonal
     is all zero but some m_ij is not, the congruence row_i += c row_j, col_i +=
     conj(c) col_j puts 2 Re m_ij (c = 1) or 2 Im m_ij (c = i) on the diagonal;
-    it acts linearly on the minors, so the invariant survives.
+    it acts linearly on the minors, so the invariant survives.  The swaps and
+    cures are congruences by matrices of determinant +/-1 and 1, so the last
+    pivot d_n is the input's determinant, and 0 when the rest of the form is zero.
     """
     m, mi = [list(r) for r in a], b and [list(r) for r in b]
     parts = (m, mi) if mi else (m,)
@@ -142,7 +146,7 @@ def _signature_int(a, b=None) -> int:
             pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
                          if any(x[i][j] for x in parts)), None)
             if pair is None:
-                break  # the rest of the form is zero
+                return sig, 0  # the rest of the form is zero
             piv, j = pair
             if m[piv][j]:  # c = 1
                 for x in parts:
@@ -178,19 +182,20 @@ def _signature_int(a, b=None) -> int:
                     y = ii[j] = (ii[j] * p - ar * ik[j] - ai * rk[j]) // prev
                     mi[j][i] = -y
         prev = p
-    return sig
+    return sig, prev
 
 
 def signature(v: SeifertMatrix) -> int:
-    """Signature of V + V^T, computed exactly once per matrix; always even."""
+    """Signature of V + V^T, computed exactly once per matrix with det(V + V^T); always even."""
     if v._sigma is None:
-        v._sigma = _signature_int(v.pencil(-1))
+        v._sigma, v._det = _signature_int(v.pencil(-1))
     return v._sigma
 
 
 def determinant(v: SeifertMatrix) -> int:
-    """The knot determinant |det(V + V^T)| = |Delta(-1)|."""
-    return abs(_det_int(v.pencil(-1)))
+    """The knot determinant |det(V + V^T)| = |Delta(-1)|, the signature's last pivot."""
+    signature(v)
+    return abs(v._det)
 
 
 # alexander reads Delta modulo the narrowest prime above 2B, in this order.  Past 2^255 - 19:
@@ -282,9 +287,9 @@ def arf(v: SeifertMatrix) -> int:
     """Arf invariant of the quadratic form q(x) = x V x^T mod 2.
 
     Levine's criterion: Arf is 0 exactly when det(V + V^T) = Delta(-1) is
-    +/-1 mod 8, so one exact determinant decides it.
+    +/-1 mod 8, so the signature's last pivot decides it.
     """
-    return 0 if _det_int(v.pencil(-1)) % 8 in (1, 7) else 1
+    return 0 if determinant(v) % 8 in (1, 7) else 1
 
 
 def arf_murasugi(delta: LaurentPoly) -> int:
@@ -439,7 +444,7 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     u = _arc_point(v._chain, w)
     a, b = u.numerator, u.denominator
     return _signature_int([[a * x for x in row] for row in v.pencil(-1)],
-                          [[-b * x for x in row] for row in v.pencil(1)])
+                          [[-b * x for x in row] for row in v.pencil(1)])[0]
 
 
 def genus_bounds_from_matrix(v: SeifertMatrix) -> GenusBounds:

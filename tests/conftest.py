@@ -166,7 +166,7 @@ def realified_levine_tristram(entries, omega):
     s = [[a * x for x in row] for row in v.pencil(-1)]
     t = [[b * x for x in row] for row in v.pencil(1)]
     form = [sr + tr for sr, tr in zip(s, t)] + [[-x for x in tr] + sr for sr, tr in zip(s, t)]
-    return _signature_int(form) // 2
+    return _signature_int(form)[0] // 2
 
 
 def alexander_full(entries):

@@ -1,6 +1,7 @@
 """The command-line surface: output formats, exit codes, store handling."""
 
 import json
+import math
 import os
 import random
 import shlex
@@ -415,7 +416,8 @@ def count_kernels(monkeypatch):
     One Alexander polynomial of an n x n matrix is one _charpoly_mod call of
     size n, modulo one prime, and no determinant.  One signature of V + V^T, and one
     Levine-Tristram signature, is one _signature_int call of size n (on the
-    real, or the n x n Hermitian, form), and SeifertMatrix checks det(V - V^T)
+    real, or the n x n Hermitian, form); the determinant det(V + V^T), and so
+    Arf, is the last pivot of the first.  SeifertMatrix checks det(V - V^T)
     with one _det_int call of size n.
     """
     calls = []
@@ -440,17 +442,20 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     n = 8
     entries = make_valid_seifert(random.Random(12), n)
     sigma = _seifert.signature(_seifert.SeifertMatrix(entries))
+    assert math.isqrt(det := _seifert.determinant(_seifert.SeifertMatrix(entries))) ** 2 != det
     path = tmp_path / "m8.json"
     path.write_text(json.dumps({"n": n, "entries": entries}), encoding="utf-8")
     calls = count_kernels(monkeypatch)
-    # one V - V^T check, one sigma, one Delta (one characteristic polynomial); Arf
-    # and the determinant come from Delta(-1), and each omega adds one Hermitian
-    # signature of size n
-    one_pass = sorted([("_det_int", n), ("_charpoly_mod", n), ("_signature_int", n)])
+    # one V - V^T check and one sigma, whose last pivot gives the determinant and Arf;
+    # a determinant that is not a square fails Fox-Milnor, so aggregate reads no Delta
+    checked = sorted([("_det_int", n), ("_signature_int", n)])
+    # invariants prints Delta, one characteristic polynomial, and each omega adds one
+    # Hermitian signature of size n
+    one_pass = sorted(checked + [("_charpoly_mod", n)])
 
     record = KnotRecord(name="k", seifert_matrix=_seifert.SeifertMatrix(entries), sigma=sigma)
     aggregate(record.validate())
-    assert sorted(calls) == one_pass
+    assert sorted(calls) == checked
 
     # with no store named, the CLI builds no seed table for a matrix file
     monkeypatch.delenv("SLICEGATE_STORE", raising=False)
@@ -463,7 +468,18 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     calls.clear()
     code, _, _ = run(capsys, "obstruct", "--matrix-file", str(path))
     assert code == 0
-    assert sorted(calls) == one_pass
+    assert sorted(calls) == checked
+
+    # K # -K = V (+) -V^T has det(V + V^T)^2, an odd square: Fox-Milnor reads its Delta
+    mirror = [[-x for x in c] for c in zip(*entries)]
+    both = [r + [0] * n for r in entries] + [[0] * n + r for r in mirror]
+    path = tmp_path / "m16.json"
+    path.write_text(json.dumps({"n": 2 * n, "entries": both}), encoding="utf-8")
+    calls.clear()
+    code, out, _ = run(capsys, "obstruct", "--matrix-file", str(path), "--json")
+    assert code == 0 and json.loads(out)["verdict"]["topologically_slice"] == "unknown"
+    assert sorted(calls) == sorted([("_det_int", 2 * n), ("_signature_int", 2 * n),
+                                    ("_charpoly_mod", 2 * n)])
 
     # one prime modulus serves n = 32 with entries of size at most 5 too, and each
     # omega is one Hermitian signature of size n

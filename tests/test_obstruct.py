@@ -1,15 +1,17 @@
 """The obstruction aggregation engine: rules, verdicts, consistency."""
 
 import json
+import math
+import random
 
 import pytest
 
-from conftest import golden_corpus
+from conftest import golden_corpus, make_valid_seifert
 from slicegate.bounds import Interval
 from slicegate.knotdb import KnotRecord, seed_table, whitehead_double_record
-from slicegate.laurent import LaurentPoly
+from slicegate.laurent import LaurentPoly, fox_milnor
 from slicegate.obstruct import InconsistentBoundsError, aggregate, record_facts, yasuhara
-from slicegate.seifert import SeifertMatrix
+from slicegate.seifert import SeifertMatrix, alexander, determinant
 from slicegate.whitehead import CompanionInvariants, WhiteheadParams, gamma4_whitehead
 from slicegate import obstruct as obstruct_mod
 
@@ -166,12 +168,21 @@ def test_slice_seed_has_moebius_band_verdict():
 
 def test_record_facts_reads_each_fact_from_one_source():
     trefoil_delta = LaurentPoly({1: 1, 0: -1, -1: 1})
-    # a matrix record: sigma and Delta from the matrix, Arf from its Delta(-1)
+    # a matrix record: sigma, the determinant and Arf from one elimination of V + V^T;
+    # det = 3 is not a square, so Fox-Milnor fails on it and no Delta is read, even
+    # when validate() has computed one against the stored Delta
     matrix = KnotRecord(name="m", seifert_matrix=SeifertMatrix([[-1, 1], [0, -1]]),
                         alexander=LaurentPoly({3: 1, 2: -1, 1: 1})).validate()
     facts = record_facts(matrix)
-    assert (facts.sigma, facts.arf, facts.delta) == (-2, 1, trefoil_delta)
+    assert (facts.sigma, facts.arf, facts.delta) == (-2, 1, None)
     assert facts.surface_genus == 1 and not facts.fm.passes
+    assert facts.fm == fox_milnor(trefoil_delta)
+    # 3_1 # -3_1: det = 9 is an odd square, so Delta is read and Fox-Milnor factors it
+    both = KnotRecord(name="k", seifert_matrix=SeifertMatrix(
+        [[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]])).validate()
+    facts = record_facts(both)
+    assert (facts.sigma, facts.arf, facts.delta) == (0, 0, trefoil_delta * trefoil_delta)
+    assert facts.fm.passes and facts.surface_genus == 2
     # a table record: the stored values, and no Arf read off a Delta that is only stored
     table = KnotRecord(name="t", alexander=trefoil_delta, sigma=-2,
                        invariants=CompanionInvariants(tau=1)).validate()
@@ -179,3 +190,26 @@ def test_record_facts_reads_each_fact_from_one_source():
     assert (facts.sigma, facts.arf, facts.delta) == (-2, None, trefoil_delta)
     assert facts.surface_genus is None and facts.stored.tau == 1
     assert record_facts(KnotRecord(name="s", arf=1)).arf == 1
+
+
+def test_aggregate_does_not_depend_on_a_memoized_alexander():
+    # aggregate reads a matrix's Delta only when |det(V + V^T)| is an odd square; its
+    # report is the same whether alexander(v) ran before or not, on K (seeded, det
+    # mostly not a square) and on K # -K = V (+) -V^T (det(V + V^T)^2, an odd square)
+    rng = random.Random(1966)
+    squares = set()
+    for n in (2, 4, 6, 8, 12, 20):
+        for _ in range(3 if n <= 8 else 1):
+            entries = make_valid_seifert(rng, n, bound=5 if n <= 12 else 3)
+            mirror = [[-x for x in c] for c in zip(*entries)]
+            both = [r + [0] * n for r in entries] + [[0] * n + r for r in mirror]
+            for matrix in (entries, both):
+                reports = []
+                for memoized in (False, True):
+                    v = SeifertMatrix(matrix)
+                    if memoized:
+                        alexander(v)
+                    reports.append(aggregate(KnotRecord(name="k", seifert_matrix=v)).to_json())
+                assert reports[0] == reports[1], matrix
+                squares.add(math.isqrt(d := determinant(SeifertMatrix(matrix))) ** 2 == d)
+    assert squares == {False, True}

@@ -98,9 +98,10 @@ def test_signature_hyperbolic_branch():
 
 def test_congruence_reduction_against_numpy_on_arbitrary_symmetric_input():
     # the integer kernel handles any symmetric matrix, including singular
-    # ones and zero diagonals; check it against eigenvalue counting
+    # ones and zero diagonals; check it against eigenvalue counting, and its
+    # last pivot against the Bareiss determinant
     import numpy as np
-    from slicegate.seifert import _signature_int
+    from slicegate.seifert import _det_int, _signature_int
 
     rng = random.Random(2718)
     for _ in range(300):
@@ -112,10 +113,9 @@ def test_congruence_reduction_against_numpy_on_arbitrary_symmetric_input():
                 if rng.random() < 0.3:
                     x = 0
                 a[i][j] = a[j][i] = x
-        exact = _signature_int(a)
         eigs = np.linalg.eigvalsh(np.array(a, dtype=float))
         approx = int((eigs > 1e-9).sum()) - int((eigs < -1e-9).sum())
-        assert exact == approx, a
+        assert _signature_int(a) == (approx, _det_int(a)), a
 
 
 def random_hermitian(rng, n):
@@ -154,16 +154,17 @@ def random_hermitian(rng, n):
 
 
 def test_hermitian_kernel_against_numpy():
-    # the Gaussian-integer elimination against eigenvalue counting, on singular
-    # matrices and on zero diagonals that need each congruence cure
+    # the Gaussian-integer elimination against eigenvalue counting, and its last
+    # pivot against the determinant, on singular matrices and on zero diagonals
+    # that need each congruence cure
     import numpy as np
     from slicegate.seifert import _signature_int
 
-    assert _signature_int([[0, 0], [0, 0]], [[0, 1], [-1, 0]]) == 0  # c = i
-    assert _signature_int([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0] * 3] * 3) == 0  # c = 1
+    assert _signature_int([[0, 0], [0, 0]], [[0, 1], [-1, 0]]) == (0, -1)  # c = i
+    assert _signature_int([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0] * 3] * 3) == (0, 0)  # c = 1
     assert _signature_int([[0, 0, 1], [0, 0, 0], [1, 0, 0]],
-                          [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]) == 1  # eigenvalues -2, 1, 1
-    assert _signature_int([[1, 0], [0, 1]], [[0, 1], [-1, 0]]) == 1  # singular: eigenvalues 0, 2
+                          [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]) == (1, -2)  # eigenvalues -2, 1, 1
+    assert _signature_int([[1, 0], [0, 1]], [[0, 1], [-1, 0]]) == (1, 0)  # eigenvalues 0, 2
     rng = random.Random(3141)
     kinds = set()
     for _ in range(300):
@@ -172,7 +173,8 @@ def test_hermitian_kernel_against_numpy():
         h = np.array(a, dtype=complex) + 1j * np.array(b, dtype=float)
         eigs = np.linalg.eigvalsh(h)
         approx = int((eigs > 1e-9).sum()) - int((eigs < -1e-9).sum())
-        assert _signature_int(a, b) == approx, (a, b)
+        det = round(np.linalg.det(h).real)  # |det| < 2^25 (Hadamard), so it rounds exactly
+        assert _signature_int(a, b) == (approx, det), (a, b)
         kinds.add((any(map(any, a)), any(map(any, b)), any(a[i][i] for i in range(n))))
     assert {(True, False, False), (False, True, False)} <= kinds
 
@@ -445,14 +447,25 @@ def test_alexander_past_the_widest_prime_raises_value_error(monkeypatch, tmp_pat
     assert 2 * hadamard_bound(entries) > 2**19 - 1
     with pytest.raises(ValueError, match="n = 4"):
         alexander(SeifertMatrix(entries))
-    path = tmp_path / "m4.json"
-    path.write_text(json.dumps({"n": 4, "entries": entries}), encoding="utf-8")
-    for argv in (["invariants", "--matrix-file", str(path)],
-                 ["obstruct", "--matrix-file", str(path), "--json"]):
-        assert main(argv) == 2, argv
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), (argv, err)
-        assert "n = 4" in err and "Traceback" not in err
+    # K # -K has an odd-square determinant, so obstruct reads its Delta and exits 2;
+    # K's determinant is not a square, so obstruct reads no Delta and reports
+    mirror = [[-x for x in c] for c in zip(*entries)]
+    assert math.isqrt(det := determinant(SeifertMatrix(entries))) ** 2 != det
+    for name, matrix, obstruct_code in (("m4", entries, 0),
+                                        ("m8", direct_sum(entries, mirror), 2)):
+        n = len(matrix)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": n, "entries": matrix}), encoding="utf-8")
+        for argv, code in ((["invariants", "--matrix-file", str(path)], 2),
+                           (["obstruct", "--matrix-file", str(path), "--json"], obstruct_code)):
+            assert main(argv) == code, argv
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert out == "" and err.count("\n") == 1, (argv, err)
+                assert err.startswith("error: ") and f"n = {n}" in err and "Traceback" not in err
+            else:
+                report = json.loads(out)
+                assert err == "" and report["verdict"]["topologically_slice"] == "no", report
 
 
 P224 = 2**224 - 2**96 + 1
@@ -591,6 +604,55 @@ def test_determinant_equals_alexander_at_minus_one():
     for _ in range(40):
         v = SeifertMatrix(make_valid_seifert(rng, rng.choice([2, 4])))
         assert determinant(v) == abs(int(alexander(v).evaluate(-1)))
+
+
+def test_determinant_and_arf_are_the_signature_elimination_last_pivot():
+    # determinant(v) and arf(v) read det(V + V^T) off the signature's elimination;
+    # check them against the Bareiss determinant and Murasugi's Arf of Delta.  A
+    # zeroed diagonal keeps V - V^T, and makes V + V^T's diagonal zero, so the
+    # elimination starts with a c = 1 cure; the hyperbolic sums need one at every
+    # other step (the c = i cure is a Hermitian one: test_hermitian_kernel_against_numpy)
+    from slicegate.seifert import _det_int
+
+    rng = random.Random(1966)
+    cases = [make_valid_seifert(rng, n) for n in (2, 4, 6, 8, 12, 16) for _ in range(3)]
+    cases += [make_valid_seifert(rng, n, bound=3) for n in (20, 32, 40)]
+    cases += [[[0 if i == j else x for j, x in enumerate(r)] for i, r in enumerate(entries)]
+              for entries in cases[::2]]
+    for n in (2, 8, 26):
+        cases.append([[int(j == i + 1 and i % 2 == 0) for j in range(n)] for i in range(n)])
+    for entries in cases:
+        v = SeifertMatrix(entries)
+        want = _det_int(v.pencil(-1))
+        assert determinant(v) == abs(want) and v._det == want, entries
+        assert arf(v) == arf_murasugi(alexander(v)), entries
+
+
+def test_signature_arf_determinant_metamorphic_relations():
+    from conftest import random_unimodular
+
+    # congruence and V -> V^T change none of sigma, Arf and the determinant; the
+    # mirror V -> -V^T negates sigma; a block sum adds sigma and Arf (mod 2) and
+    # multiplies the determinant
+    rng = random.Random(4005)
+    for n in (2, 4, 6, 8, 12, 20, 40):
+        for _ in range(3 if n <= 12 else 1):
+            entries = make_valid_seifert(rng, n, bound=5 if n <= 20 else 3)
+            v = SeifertMatrix(entries)
+            facts = (signature(v), arf(v), determinant(v))
+            transpose = [list(c) for c in zip(*entries)]
+            p = random_unimodular(rng, n, ops=rng.randint(1, 6))
+            for same in (transpose, congruent(entries, p)):
+                w = SeifertMatrix(same)
+                assert (signature(w), arf(w), determinant(w)) == facts, (entries, same)
+            mirror = SeifertMatrix([[-x for x in r] for r in transpose])
+            assert (signature(mirror), arf(mirror), determinant(mirror)) == (
+                -facts[0], facts[1], facts[2])
+            other = SeifertMatrix(make_valid_seifert(rng, rng.choice([2, 4, 6])))
+            both = SeifertMatrix(direct_sum(entries, other.entries))
+            assert (signature(both), arf(both), determinant(both)) == (
+                facts[0] + signature(other), (facts[1] + arf(other)) % 2,
+                facts[2] * determinant(other)), (entries, other)
 
 
 def test_arf_examples():
@@ -750,5 +812,6 @@ def test_memo_keeps_equality_hash_pickle_and_deepcopy():
     for other in copies:
         assert other == v == fresh and hash(other) == hash(v)
         assert signature(other) == sigma and alexander(other) == delta
+        assert determinant(other) == determinant(v)
         assert levine_tristram(other, "1/3") == lt
     assert signature(fresh) == sigma and alexander(fresh) == delta
