@@ -5,8 +5,8 @@ Everything is exact integer arithmetic.  One fraction-free symmetric
 elimination gives the signature of V + V^T and, as its last pivot, the
 determinant det(V + V^T), whence the Arf invariant by Levine's criterion;
 over the Gaussian integers on the n x n Hermitian form taken on the same arc
-of the unit circle it gives every Levine-Tristram signature.  det(V - t V^T)
-comes from the characteristic polynomial of the small integer matrix
+of the unit circle it gives each Levine-Tristram signature of an interior arc.
+det(V - t V^T) comes from the characteristic polynomial of the small integer matrix
 W = (V - V^T)^-1 V, reduced left-looking to Hessenberg form modulo the one
 tabled prime that a Hadamard bound sizes.  The signature with the determinant,
 and the Alexander polynomial, are each computed at most once per matrix, and
@@ -55,7 +55,7 @@ class SeifertMatrix:
             raise NotASeifertMatrixError(f"size {n} is odd; Seifert matrices have even size")
         self._rows = rows
         self._sigma = self._det = self._delta = self._chain = None
-        if n and (d := _det_int(self.pencil(1))) not in (1, -1):
+        if (d := _pfaffian(self.pencil(1)) ** 2) != 1:  # det(V - V^T) = Pf^2
             raise NotASeifertMatrixError(f"det(V - V^T) = {d}, expected +/-1")
 
     @property
@@ -97,28 +97,37 @@ class SeifertMatrix:
         return v
 
 
-def _det_int(rows) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    prev = 1
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
+def _pfaffian(rows) -> int:
+    """Pfaffian of an even-size integer skew matrix, by fraction-free 2 x 2 pivots.
+
+    The step on rows (a, b) = (2k, 2k + 1) pivots on p = m_ab and updates the upper
+    triangle only: m_ij <- (m_ij p + m_aj m_bi - m_ai m_bj) / prev.  Every m_ij is then
+    the Pfaffian minor on rows 0..b, i and j, and prev the one on rows 0..a - 1, so each
+    division is exact (Tanner's identity; Galbiati-Maffioli 1994) and the last pivot is
+    Pf.  A zero m_ab swaps row and column b with the first j that has m_aj != 0, which
+    flips the sign; with none, row a of the reduced matrix is zero and so is Pf.
+    """
+    m, sign, prev = [list(r) for r in rows], 1, 1
+    n = len(m)
+    for a in range(0, n, 2):
+        b = a + 1
+        ra, rb = m[a], m[b]
+        if not ra[b]:
+            j = next((j for j in range(b + 1, n) if ra[j]), None)
+            if j is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            ra[b], ra[j], rb[j], sign = ra[j], ra[b], -rb[j], -sign
+            for r in range(b + 1, j):
+                rb[r], m[r][j] = -m[r][j], -rb[r]
+            for r in range(j + 1, n):
+                rb[r], m[j][r] = m[j][r], rb[r]
+        p = ra[b]
+        for i in range(b + 1, n):
+            ri, ai, bi = m[i], ra[i], rb[i]
+            ri[i + 1:] = [(x * p + bi * y - ai * z) // prev
+                          for x, y, z in zip(ri[i + 1:], ra[i + 1:], rb[i + 1:])]
+        prev = p
+    return sign * prev
 
 
 def _signature_int(a, b=None) -> tuple[int, int]:
@@ -333,8 +342,10 @@ def _trace_poly(delta: LaurentPoly) -> list[int]:
     return out
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    """Sign changes along the Sturm chain at x >= 0, each term evaluated on integers."""
+def _sign_changes(chain, x: Fraction | None) -> int:
+    """Sign changes along the Sturm chain at x >= 0 on integers, or at +infinity for None."""
+    if x is None:
+        return sum((p[-1] > 0) != (q[-1] > 0) for p, q in zip(chain, chain[1:]))
     a, b, signs = x.numerator, x.denominator, []
     for p in chain:
         value = 0
@@ -387,30 +398,30 @@ def _compare_tan(u: Fraction, w: Fraction) -> int:
         bits *= 2
 
 
-def _arc_point(chain, w: Fraction) -> Fraction:
-    """A rational u' with no unit-circle root of Delta between its angle and tan(pi * w).
+def _arc_point(chain, w: Fraction, at_0: int) -> tuple[Fraction, int]:
+    """(u', its Sturm count) for a rational u' on the arc of tan(pi * w) between roots of Delta.
 
     Bisects [0, q], which holds tan(pi * p/q) < cot(pi / 2q) < q, keeping the
     target inside by exact comparison, until equal Sturm counts at both ends
     certify that the trace polynomial, whose Sturm chain is given, has no root
-    on the interval, mapped to s = u^2.  The end that stays keeps its count, so
-    each step evaluates the chain once.  It ends because Delta does not vanish
-    at omega.
+    on the interval, mapped to s = u^2.  at_0 is the count at 0.  The end that
+    stays keeps its count, so each step evaluates the chain once.  It ends
+    because Delta does not vanish at omega.
     """
     lo, hi = Fraction(0), Fraction(w.denominator)
     # E = chain[0] is nonzero here: E(0) = Delta(1) = 1, and by Gauss's lemma a root (a/b)^2,
     # a != 0, gives Delta a factor worth 4a^2/g >= 2 (g <= 2) at t = 1, which Delta(1) = 1 bars
-    at_lo, at_hi = _sign_changes(chain, lo), _sign_changes(chain, hi * hi)
+    at_lo, at_hi = at_0, _sign_changes(chain, hi * hi)
     while at_lo != at_hi:
         mid = (lo + hi) / 2
         side = _compare_tan(mid, w)
         if side == 0:
-            return mid
+            return mid, _sign_changes(chain, mid * mid)
         if side < 0:
             lo, at_lo = mid, _sign_changes(chain, mid * mid)
         else:
             hi, at_hi = mid, _sign_changes(chain, mid * mid)
-    return hi
+    return hi, at_hi
 
 
 def levine_tristram(v: SeifertMatrix, omega) -> int | None:
@@ -423,7 +434,10 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     A = V - V^T, u = tan(pi*p/q); its signature is constant on the arc
     between roots of Delta, so a rational u' = a/b on the same arc gives it
     as the signature of the n x n Gaussian-integer Hermitian form aS - i*bA.
-    Conjugate angles have equal signatures, and p/q = 1/2 is the signature.
+    On the arc through 1 it is 0 (the form tends to -ibA, A skew and nondegenerate)
+    and on the arc through -1 it is sigma; Sturm counts at s = 0, u'^2 and +inf
+    tell these apart, so only an interior arc pays the elimination.  Conjugate
+    angles have equal signatures, and p/q = 1/2 is the signature.
     """
     w = _frac(omega) % 1
     if w == 0:
@@ -441,7 +455,12 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
         return None
     if v._chain is None:
         v._chain = _sturm_chain(_trace_poly(delta))
-    u = _arc_point(v._chain, w)
+    at_0, at_inf = _sign_changes(v._chain, Fraction(0)), _sign_changes(v._chain, None)
+    if at_0 == at_inf:  # no root of Delta on the upper semicircle
+        return 0
+    u, at_u = _arc_point(v._chain, w, at_0)
+    if at_u in (at_0, at_inf):
+        return 0 if at_u == at_0 else signature(v)
     a, b = u.numerator, u.denominator
     return _signature_int([[a * x for x in row] for row in v.pencil(-1)],
                           [[-b * x for x in row] for row in v.pencil(1)])[0]

@@ -1,8 +1,8 @@
-"""Shared helpers: random Seifert-matrix generators, the float signature and
-Levine-Tristram oracles, the realified Levine-Tristram oracle with its
-two-ended arc-point bisection, the GF(2) Arf oracle, the full-interpolation
-Alexander oracle, the right-looking characteristic-polynomial oracle and the
-Kronecker factorization oracle."""
+"""Shared helpers: random Seifert-matrix generators, the Bareiss determinant
+oracle, the float signature and Levine-Tristram oracles, the realified
+Levine-Tristram oracle with its two-ended arc-point bisection, the GF(2) Arf
+oracle, the full-interpolation Alexander oracle, the right-looking
+characteristic-polynomial oracle and the Kronecker factorization oracle."""
 
 from __future__ import annotations
 
@@ -42,6 +42,33 @@ def random_skew_unimodular(rng, n, ops=3):
     return [[sum(pj[i][k] * p[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
+def det_bareiss(rows) -> int:
+    """Oracle: exact determinant of an integer matrix (fraction-free Bareiss).
+
+    The kernel behind the det(V - V^T) check before the Pfaffian one.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    prev = 1
+    sign = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 MAX_REJECTED_DRAWS = 1000
 
 
@@ -67,14 +94,28 @@ def make_valid_seifert(rng, n, bound=5):
                        f"bound = {bound}; use a larger bound")
 
 
+def torus_2q_seifert(q, rng=None):
+    """Seifert matrix of the (2, q) torus knot, q odd: (q - 1) square, -1 on the diagonal
+    and 1 above it, under the congruence P V P^T by random_unimodular(rng) when rng is given.
+
+    Delta has a root at every e^(i pi k/q), k odd, so for q >= 7 most angles lie on an
+    interior arc, where a Levine-Tristram signature needs its Hermitian elimination.
+    """
+    n = q - 1
+    v = [[-1 if i == j else int(j == i + 1) for j in range(n)] for i in range(n)]
+    if rng is None:
+        return v
+    p = random_unimodular(rng, n)
+    pv = [[sum(p[i][k] * v[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(pv[i][k] * p[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
 def make_invalid_seifert(rng, n, bound=5):
     """Random even-size integer matrix with det(V - V^T) != +/-1."""
-    from slicegate.seifert import _det_int
-
     while True:
         v = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         skew = [[v[i][j] - v[j][i] for j in range(n)] for i in range(n)]
-        if _det_int(skew) not in (1, -1):
+        if det_bareiss(skew) not in (1, -1):
             return v
 
 
@@ -176,11 +217,9 @@ def alexander_full(entries):
     palindromic symmetry; the result must come out integral and palindromic,
     and its sign is chosen so the value at t = 1 is 1.
     """
-    from slicegate.seifert import _det_int
-
     n = len(entries)
     xs = [0] + [sign * k for k in range(1, n // 2 + 1) for sign in (1, -1)]
-    dets = [_det_int([[entries[i][j] - x * entries[j][i] for j in range(n)] for i in range(n)])
+    dets = [det_bareiss([[entries[i][j] - x * entries[j][i] for j in range(n)] for i in range(n)])
             for x in xs]
     cs = _interpolate(*_lagrange_basis(xs), dets)
     assert cs is not None and cs == cs[::-1], "det(V - tV^T) must be palindromic on [0, n]"

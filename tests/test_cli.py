@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from conftest import make_valid_seifert
+from conftest import make_valid_seifert, torus_2q_seifert
 from jsonschema import validate
 
 import slicegate
@@ -415,13 +415,14 @@ def count_kernels(monkeypatch):
 
     One Alexander polynomial of an n x n matrix is one _charpoly_mod call of
     size n, modulo one prime, and no determinant.  One signature of V + V^T, and one
-    Levine-Tristram signature, is one _signature_int call of size n (on the
-    real, or the n x n Hermitian, form); the determinant det(V + V^T), and so
-    Arf, is the last pivot of the first.  SeifertMatrix checks det(V - V^T)
-    with one _det_int call of size n.
+    Levine-Tristram signature on an interior arc, is one _signature_int call of size
+    n (on the real, or the n x n Hermitian, form); the determinant det(V + V^T), and
+    so Arf, is the last pivot of the first.  A Levine-Tristram signature on the arc
+    through 1 or -1 costs no elimination.  SeifertMatrix checks det(V - V^T) = Pf^2
+    with one _pfaffian call of size n.
     """
     calls = []
-    for name in ("_det_int", "_signature_int", "_charpoly_mod"):
+    for name in ("_pfaffian", "_signature_int", "_charpoly_mod"):
         def counted(*args, _name=name, _kernel=getattr(_seifert, name)):
             calls.append((_name, len(args[0])))
             return _kernel(*args)
@@ -448,9 +449,9 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     calls = count_kernels(monkeypatch)
     # one V - V^T check and one sigma, whose last pivot gives the determinant and Arf;
     # a determinant that is not a square fails Fox-Milnor, so aggregate reads no Delta
-    checked = sorted([("_det_int", n), ("_signature_int", n)])
-    # invariants prints Delta, one characteristic polynomial, and each omega adds one
-    # Hermitian signature of size n
+    checked = sorted([("_pfaffian", n), ("_signature_int", n)])
+    # invariants prints Delta, one characteristic polynomial; both omega lie on the arc
+    # through 1 (Delta has no root between them and 1), so they add no Hermitian signature
     one_pass = sorted(checked + [("_charpoly_mod", n)])
 
     record = KnotRecord(name="k", seifert_matrix=_seifert.SeifertMatrix(entries), sigma=sigma)
@@ -463,7 +464,7 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     code, _, _ = run(capsys, "invariants", "--matrix-file", str(path),
                      "--omega", "1/3", "--omega", "2/5")
     assert code == 0
-    assert sorted(calls) == sorted(one_pass + [("_signature_int", n)] * 2)
+    assert sorted(calls) == one_pass
 
     calls.clear()
     code, _, _ = run(capsys, "obstruct", "--matrix-file", str(path))
@@ -478,16 +479,31 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     calls.clear()
     code, out, _ = run(capsys, "obstruct", "--matrix-file", str(path), "--json")
     assert code == 0 and json.loads(out)["verdict"]["topologically_slice"] == "unknown"
-    assert sorted(calls) == sorted([("_det_int", 2 * n), ("_signature_int", 2 * n),
+    assert sorted(calls) == sorted([("_pfaffian", 2 * n), ("_signature_int", 2 * n),
                                     ("_charpoly_mod", 2 * n)])
 
-    # one prime modulus serves n = 32 with entries of size at most 5 too, and each
-    # omega is one Hermitian signature of size n
+    # one prime modulus serves n = 32 with entries of size at most 5 too; both omega lie
+    # past every root of its Delta, on the arc through -1, so they share the memoized
+    # signature of V + V^T and need no Hermitian elimination
     calls.clear()
     big = _seifert.SeifertMatrix(make_valid_seifert(random.Random(32), 32))
     values = [_seifert.levine_tristram(big, w) for w in ("1/3", "2/5")]
-    assert sorted(calls) == sorted([("_det_int", 32), ("_charpoly_mod", 32)]
-                                   + [("_signature_int", 32)] * 2), values
+    assert values == [_seifert.signature(big)] * 2
+    assert sorted(calls) == [("_charpoly_mod", 32), ("_pfaffian", 32),
+                             ("_signature_int", 32)], values
+
+    # T(2, 7) has roots of Delta at angles 1/14, 3/14 and 5/14 of the circle, so 1/7 and
+    # 1/3 lie on interior arcs: each omega adds one Hermitian signature of size 6
+    path = tmp_path / "t27.json"
+    path.write_text(json.dumps({"n": 6, "entries": torus_2q_seifert(7, random.Random(27))}),
+                    encoding="utf-8")
+    calls.clear()
+    code, out, _ = run(capsys, "invariants", "--matrix-file", str(path),
+                       "--omega", "1/7", "--omega", "1/3", "--json")
+    assert code == 0
+    assert [row["signature"] for row in json.loads(out)["levine_tristram"]] == [-2, -4]
+    assert sorted(calls) == sorted([("_pfaffian", 6), ("_signature_int", 6),
+                                    ("_charpoly_mod", 6)] + [("_signature_int", 6)] * 2)
 
 
 def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys, monkeypatch):

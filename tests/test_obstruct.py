@@ -121,6 +121,36 @@ def test_aggregate_rule_order_independent(monkeypatch):
     assert outcomes() == baseline
 
 
+def test_aggregate_report_survives_rule_shuffles_and_keeps_lo_at_most_hi(monkeypatch):
+    # the whole report, applied rules included, is a function of the record and not of
+    # the order of _RULES: seeded shuffles leave every golden-corpus report
+    # byte-identical, and every quantity it bounds has its floor <= lo <= hi
+    from slicegate.bounds import GENUS_FLOOR
+
+    def reports():
+        out = []
+        for record, options in golden_corpus():
+            try:
+                out.append(json.dumps(aggregate(record, **options).to_json()))
+            except InconsistentBoundsError:
+                out.append(None)
+        return out
+
+    baseline = reports()
+    assert baseline.count(None) == 2
+    for text in filter(None, baseline):
+        for quantity, bound in json.loads(text)["bounds"].items():
+            if bound is not None:
+                lo, hi = bound
+                assert GENUS_FLOOR[quantity] <= lo and (hi is None or lo <= hi), text
+    rng = random.Random(1211)
+    for _ in range(4):
+        rules = list(obstruct_mod._RULES)
+        rng.shuffle(rules)
+        monkeypatch.setattr(obstruct_mod, "_RULES", tuple(rules))
+        assert reports() == baseline, [name for name, *_ in rules]
+
+
 def test_aggregate_rederives_whitehead_gamma4_theorem():
     # the generic engine must agree with the specialized formula on the whole
     # (clasp, twist, framing) grid, re-deriving the lower bound from
