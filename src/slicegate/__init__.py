@@ -12,9 +12,8 @@ from .plfunc import (CobordismCheck, PLFunction, cable_sandwich, cobordism_inequ
                      two_q_upsilon_interval, upsilon_little)
 from .seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf, arf_murasugi,
                       determinant, genus_bounds_from_matrix, levine_tristram, signature)
-from .whitehead import (CompanionInvariants, HalfTwistRegimeError, MissingInvariantError,
-                        WhiteheadParams, alexander_formula, arf_whitehead, cable_target,
-                        epsilon_whitehead, gamma4_whitehead, pattern_seifert_matrix,
-                        seifert_matrix, sigma_whitehead, tau_whitehead, upsilon_whitehead)
+from .whitehead import (CompanionInvariants, InvariantClashError, MissingInvariantError,
+                        WhiteheadParams, cable_target, epsilon_whitehead, gamma4_whitehead,
+                        seifert_matrix, tau_whitehead, upsilon_whitehead)
 
 __version__ = "0.1.0"

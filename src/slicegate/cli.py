@@ -104,8 +104,6 @@ def _report_lines(report: ObstructionReport) -> list[str]:
     lines.append(f"topologically slice: {v.topologically_slice}; "
                  f"smoothly slice: {v.smoothly_slice}; "
                  f"non-orientably slice (gamma4 = 1): {v.nonorientably_slice}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
     if report.applied_rules:
         lines.append("applied rules:")
         for r in report.applied_rules:
@@ -178,18 +176,16 @@ def _cmd_whitehead(args, store) -> int:
                              framing=args.framing, companion=args.companion)
     companion = store.lookup(args.companion)
     record = knotdb.whitehead_double_record(params, companion)
-    notes = []
-    if params.half_twist_regime:
-        notes.append(_wh.HALF_TWIST_NOTE)
-    report = aggregate(record, notes=tuple(notes))
+    report = aggregate(record)
     q = _wh.cable_target(params)
-    inv = record.invariants
+    inv, v = record.invariants, record.seifert_matrix
+    delta, sigma, arf_val = _seifert.alexander(v), _seifert.signature(v), _seifert.arf(v)
     payload = {
         "name": record.name,
         "effective_twist": params.effective_twist,
-        "alexander": record.alexander.to_terms(),
-        "sigma": record.sigma,
-        "arf": record.arf,
+        "alexander": delta.to_terms(),
+        "sigma": sigma,
+        "arf": arf_val,
         "tau": inv.tau,
         "epsilon": inv.epsilon,
         "upsilon": inv.upsilon.to_json() if inv.upsilon else None,
@@ -201,9 +197,8 @@ def _cmd_whitehead(args, store) -> int:
     lines = [
         f"knot: {record.name}",
         f"effective twist (t + lambda): {params.effective_twist}",
-        f"alexander: {record.alexander}",
-        f"sigma: {'withheld' if record.sigma is None else record.sigma}   "
-        f"arf: {'withheld' if record.arf is None else record.arf}",
+        f"alexander: {delta}",
+        f"sigma: {sigma}   arf: {arf_val}",
     ]
     if inv.tau is not None:
         ups = inv.upsilon

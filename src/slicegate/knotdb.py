@@ -20,7 +20,7 @@ from .bounds import GENUS_FLOOR, Interval
 from .laurent import InvalidAlexanderError, LaurentPoly, _wire_int, check_alexander, normalize
 from .plfunc import PLFunction
 from .seifert import SeifertMatrix
-from .whitehead import CompanionInvariants, WhiteheadParams
+from .whitehead import CompanionInvariants, InvariantClashError, WhiteheadParams
 
 FORMAT_VERSION = 1
 
@@ -233,57 +233,31 @@ def seed_table() -> KnotStore:
 def whitehead_double_record(params: WhiteheadParams, companion: KnotRecord) -> KnotRecord:
     """Assemble the knot record of a twisted Whitehead double of a companion.
 
-    Everything the formula engine can state is filled in: the closed-form
-    Alexander polynomial always; the Seifert matrix, signature and Arf only
-    outside the half-twist regime; tau/epsilon/Upsilon when the companion
-    carries tau (and epsilon).  Only the theorem's upper genus bounds are
-    stored, so the obstruction engine re-derives the lower bounds from
-    (sigma, Arf) on its own.
+    The record carries the pattern Seifert matrix, so sigma, Arf and Delta
+    are read off it where they are needed; tau/epsilon/Upsilon are filled in
+    when the companion carries tau (and epsilon).  Only the theorem's upper
+    genus bounds are stored, so the obstruction engine re-derives the lower
+    bounds from (sigma, Arf) on its own.
     """
     inv = companion.invariants
-    half = params.half_twist_regime
-    matrix = None if half else _wh.seifert_matrix(params)
-    sigma = None if half else _wh.sigma_whitehead(params)
-    arf_val = None if half else _wh.arf_whitehead(params)
-    delta = _wh.alexander_formula(params)
-
     tau_d = epsilon_d = ups = None
+    tag = "computed" if params.clasp == "+" else "reconstructed"
+    provenance = {"seifert_matrix": "computed", "gamma4": "paper", "gamma3": "paper"}
     if inv.tau is not None:
         tau_d = _wh.tau_whitehead(params, inv)
         ups = _wh.upsilon_whitehead(params, inv)
+        provenance.update(tau=tag, upsilon="computed")
         if inv.epsilon is not None:
             epsilon_d = _wh.epsilon_whitehead(params, inv)
-
-    theorem_bounds = _wh.gamma4_whitehead(params)
-    gamma4_upper = (Interval(1, theorem_bounds.gamma4.hi)
-                    if theorem_bounds.gamma4 and theorem_bounds.gamma4.hi is not None
-                    else None)
-
-    provenance = {"alexander": "computed"}
-    if matrix is not None:
-        provenance.update(seifert_matrix="computed", sigma="computed", arf="computed")
-    tag = "computed" if params.clasp == "+" else "reconstructed"
-    if tau_d is not None:
-        provenance.update(tau=tag, upsilon="computed")
-    if epsilon_d is not None:
-        provenance["epsilon"] = tag
-    if gamma4_upper is not None:
-        provenance["gamma4"] = "paper"
-        provenance["gamma3"] = "paper"
-
-    record = KnotRecord(
+            provenance["epsilon"] = tag
+    theorem = _wh.gamma4_whitehead(params)
+    return KnotRecord(
         name=params.label,
-        seifert_matrix=matrix,
-        alexander=delta,
-        sigma=sigma,
-        arf=arf_val,
-        invariants=CompanionInvariants(
-            tau=tau_d, epsilon=epsilon_d, upsilon=ups,
-            gamma4=gamma4_upper, gamma3=theorem_bounds.gamma3
-            if theorem_bounds.gamma3 and theorem_bounds.gamma3.hi is not None else None),
+        seifert_matrix=_wh.seifert_matrix(params),
+        invariants=CompanionInvariants(tau=tau_d, epsilon=epsilon_d, upsilon=ups,
+                                       gamma4=theorem.gamma4, gamma3=theorem.gamma3),
         provenance=provenance,
     )
-    return record.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +296,10 @@ def ingest_csv(store: KnotStore, path, column_mapping: dict[str, str]):
     arf, tau, epsilon, nu, s, g4, gamma4, g3, gamma3) to CSV header names;
     nothing is inferred.  A cell that does not parse, breaks its field's
     CompanionInvariants check or is not an Alexander polynomial becomes an
-    absent field and a diagnostic; a row whose nu clashes with its tau is
-    skipped with a diagnostic.  A stored value contradicting a computed one
-    raises InconsistentRecordError.  Returns (added record names, diagnostics).
+    absent field and a diagnostic; a row whose nu or epsilon clashes with
+    its tau is skipped with a diagnostic that names the field.  A stored
+    value contradicting a computed one raises InconsistentRecordError.
+    Returns (added record names, diagnostics).
     """
     unknown = set(column_mapping) - {"name", *_CELL_PARSERS}
     if unknown:
@@ -361,11 +336,11 @@ def ingest_csv(store: KnotStore, path, column_mapping: dict[str, str]):
             if not name:
                 diagnostics.append(f"row {row_num}: skipped, no name")
                 continue
-            try:  # every single-field check has passed, so this is the nu/tau check
+            try:  # every single-field check has passed, so only a pair of fields can clash
                 invariants = CompanionInvariants(
                     **{q: values.get(q) for q in (*_INTEGER_INVARIANTS, *GENUS_FLOOR)})
-            except ValueError as exc:
-                diagnostics.append(f"row {row_num}: nu: {exc}; row skipped")
+            except InvariantClashError as exc:
+                diagnostics.append(f"row {row_num}: {exc.field}: {exc}; row skipped")
                 continue
             record = KnotRecord(
                 name=name,

@@ -297,7 +297,6 @@ class ObstructionReport:
     bounds: GenusBounds
     verdict: Verdict
     applied_rules: tuple[AppliedRule, ...]
-    notes: tuple[str, ...] = ()
 
     def to_json(self):
         return {
@@ -305,11 +304,11 @@ class ObstructionReport:
             "bounds": self.bounds.to_json(),
             "verdict": self.verdict.to_json(),
             "applied_rules": [r.to_json() for r in self.applied_rules],
-            "notes": list(self.notes),
+            "notes": [],  # kept for the wire format; no rule writes a note
         }
 
 
-def aggregate(record: "KnotRecord", *, notes: tuple[str, ...] = ()) -> ObstructionReport:
+def aggregate(record: "KnotRecord") -> ObstructionReport:
     """Run every obstruction rule on a knot record and report the tightest bounds.
 
     Raises InconsistentBoundsError when the declared data contradicts a rule
@@ -369,4 +368,4 @@ def aggregate(record: "KnotRecord", *, notes: tuple[str, ...] = ()) -> Obstructi
                             if lo[q] > floor or hi[q] is not None})
     unique = sorted(set(applied), key=lambda r: (r.rule, r.contribution))
     return ObstructionReport(name=facts.name, bounds=bounds, verdict=verdict,
-                             applied_rules=tuple(unique), notes=tuple(notes))
+                             applied_rules=tuple(unique))

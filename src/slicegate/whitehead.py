@@ -2,10 +2,9 @@
 
 A double is described by its clasp sign, twist t, and the framing offset
 lambda of the companion embedding (0 = Seifert framing).  All case formulas
-are driven by the effective twist b = t + lambda: the Seifert matrix of the
-pattern sees only b, and the half-twist regime (positive clasp with b < 0,
-negative clasp with b > 0) is where the matrix-based conclusions break down
-and are therefore withheld.
+are driven by the effective twist b = t + lambda: the genus-one pattern
+matrix sees only b, and it is a Seifert matrix of the double for every b, so
+sigma, Arf and Delta are read off it by the seifert kernels.
 """
 
 from __future__ import annotations
@@ -13,24 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import GenusBounds, Interval
-from .laurent import LaurentPoly
 from .plfunc import PLFunction
 from .seifert import SeifertMatrix
 
 CLASPS = ("+", "-")
 
-HALF_TWIST_NOTE = (
-    "half-twist regime: the clasp sign and effective twist have opposite signs, so the "
-    "genus-one pattern surface degenerates and signature/Arf/gamma4 conclusions are withheld"
-)
-
-
-class HalfTwistRegimeError(ValueError):
-    """Requested a matrix-based conclusion in the half-twist regime."""
-
 
 class MissingInvariantError(ValueError):
     """The companion record lacks an invariant needed by a case formula."""
+
+
+class InvariantClashError(ValueError):
+    """Two stored invariants contradict each other; field names the one the check rejects."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -49,11 +46,6 @@ class WhiteheadParams:
     @property
     def effective_twist(self) -> int:
         return self.twist + self.framing
-
-    @property
-    def half_twist_regime(self) -> bool:
-        b = self.effective_twist
-        return (self.clasp == "+" and b < 0) or (self.clasp == "-" and b > 0)
 
     @property
     def label(self) -> str:
@@ -89,8 +81,11 @@ class CompanionInvariants(GenusBounds):
             raise ValueError(f"the s invariant is even, got {self.s}")
         if self.tau is not None and self.nu is not None:
             if self.nu not in (self.tau, self.tau + 1):
-                raise ValueError(
-                    f"nu = {self.nu} must be tau or tau + 1 (tau = {self.tau})")
+                raise InvariantClashError(
+                    "nu", f"nu = {self.nu} must be tau or tau + 1 (tau = {self.tau})")
+        if self.epsilon == 0 and self.tau:  # Hom: epsilon = 0 forces tau = 0
+            raise InvariantClashError(
+                "epsilon", f"epsilon = 0 forces tau = 0 (tau = {self.tau})")
         super().__post_init__()
 
     def to_json(self):
@@ -113,50 +108,9 @@ class CompanionInvariants(GenusBounds):
             s=obj.get("s"), upsilon=None if ups is None else PLFunction.from_json(ups))
 
 
-def pattern_seifert_matrix(clasp: str, b: int) -> SeifertMatrix:
-    """The genus-one pattern matrix [[-/+1, 1], [0, b]] for effective twist b.
-
-    This is the raw algebraic form; it is not gated on the half-twist
-    regime, where its signature/Arf readings stop describing the double.
-    """
-    if clasp not in CLASPS:
-        raise ValueError(f"clasp must be '+' or '-', got {clasp!r}")
-    diag = -1 if clasp == "+" else 1
-    return SeifertMatrix([[diag, 1], [0, b]])
-
-
 def seifert_matrix(p: WhiteheadParams) -> SeifertMatrix:
-    """Seifert matrix of the double; rejects the half-twist regime."""
-    if p.half_twist_regime:
-        raise HalfTwistRegimeError(HALF_TWIST_NOTE)
-    return pattern_seifert_matrix(p.clasp, p.effective_twist)
-
-
-def alexander_formula(p: WhiteheadParams) -> LaurentPoly:
-    """Closed form -m*t + (2m+1) - m*t^-1 with m the clasp-signed effective twist.
-
-    The classical formula is normalized for the positive clasp (m = b); the
-    negative-clasp double is the mirror of the positive double with twist -b
-    and the Alexander polynomial is mirror-invariant, so m = -b there.  This
-    matches det(V - tV^T) of the pattern matrix for every clasp and twist.
-    """
-    b = p.effective_twist
-    m = b if p.clasp == "+" else -b
-    return LaurentPoly({1: -m, 0: 2 * m + 1, -1: -m})
-
-
-def sigma_whitehead(p: WhiteheadParams) -> int:
-    """Signature of the double: 0 outside the half-twist regime."""
-    if p.half_twist_regime:
-        raise HalfTwistRegimeError(HALF_TWIST_NOTE)
-    return 0
-
-
-def arf_whitehead(p: WhiteheadParams) -> int:
-    """Arf invariant of the double: the parity of the effective twist."""
-    if p.half_twist_regime:
-        raise HalfTwistRegimeError(HALF_TWIST_NOTE)
-    return p.effective_twist % 2
+    """The genus-one pattern matrix [[-/+1, 1], [0, b]] of the double, b the effective twist."""
+    return SeifertMatrix([[-1 if p.clasp == "+" else 1, 1], [0, p.effective_twist]])
 
 
 def tau_whitehead(p: WhiteheadParams, c: CompanionInvariants) -> int:
@@ -177,14 +131,18 @@ def tau_whitehead(p: WhiteheadParams, c: CompanionInvariants) -> int:
 
 
 def epsilon_whitehead(p: WhiteheadParams, c: CompanionInvariants) -> int:
-    """epsilon of the double: 0 iff tau(K) = epsilon(K) = 0, else +/-1.
+    """epsilon of the double: sgn tau(D) when tau(D) != 0, else 0 iff tau(K) = epsilon(K) = 0.
 
-    The positive-clasp value is the stated two-case formula; the negative
-    clasp goes through the mirror identity (epsilon negates), so the
-    nonzero value is -1 there.
+    The double bounds a genus-one Seifert surface, so tau(D) = +/-1 means
+    |tau(D)| = g3(D), and then epsilon(D) = sgn tau(D) (Hom).  When tau(D) = 0
+    a nonzero value is +1 for the positive clasp, the stated two-case
+    formula, and -1 for the negative clasp through the mirror identity
+    (epsilon negates).
     """
     if c.tau is None or c.epsilon is None:
         raise MissingInvariantError("tau and epsilon of the companion are required")
+    if tau_d := tau_whitehead(p, c):
+        return tau_d
     if c.tau == 0 and c.epsilon == 0:
         return 0
     return 1 if p.clasp == "+" else -1
@@ -201,19 +159,19 @@ def upsilon_whitehead(p: WhiteheadParams, c: CompanionInvariants) -> PLFunction:
 
 
 def gamma4_whitehead(p: WhiteheadParams) -> GenusBounds:
-    """Non-orientable genus bounds of the double.
+    """Upper bounds gamma4 <= 2 and gamma3 <= 2 on the double, for every clasp and twist.
 
-    Outside the half-twist regime: gamma4 <= 2 (one band move at the clasp
-    reaches a (2, q) torus-pattern cable, which bounds a Moebius band) and
-    gamma3 <= 2 (checkerboard surface of the pattern is a punctured Klein
-    bottle); when the effective twist is odd, sigma = 0 and Arf = 1 feed
-    Yasuhara's obstruction (0 + 4*1 = 4 mod 8) and pin gamma4 = 2.  In the
-    half-twist regime no conclusion is drawn.
+    The double bounds a punctured Klein bottle in S^3: a Moebius band along
+    the companion, whose boundary is the (2, q)-cable of cable_target,
+    plumbed with a full-twisted annulus at the clasp.  Cutting that annulus
+    is the one band move from the double to the cable, and gamma4 <= gamma3.
+    Neither step uses the sign of b.  The lower bounds are left to the
+    obstruction engine, which reads them off sigma and Arf of the pattern
+    matrix: Yasuhara pins gamma4 = 2 only for odd b of the clasp's sign,
+    since sigma = -/+2 when the signs differ (Wh+_-1 of the unknot is the
+    trefoil, which bounds a Moebius band).
     """
-    if p.half_twist_regime:
-        return GenusBounds(gamma4=Interval(1, None), gamma3=Interval(1, None))
-    gamma4_lo = 2 if p.effective_twist % 2 else 1
-    return GenusBounds(gamma4=Interval(gamma4_lo, 2), gamma3=Interval(1, 2))
+    return GenusBounds(gamma4=Interval(1, 2), gamma3=Interval(1, 2))
 
 
 def cable_target(p: WhiteheadParams) -> int:

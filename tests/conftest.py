@@ -2,7 +2,8 @@
 oracle, the float signature and Levine-Tristram oracles, the realified
 Levine-Tristram oracle with its two-ended arc-point bisection, the GF(2) Arf
 oracle, the full-interpolation Alexander oracle, the right-looking
-characteristic-polynomial oracle and the Kronecker factorization oracle."""
+characteristic-polynomial oracle, the Kronecker factorization oracle and the
+closed forms of sigma, Arf and Delta of a twisted Whitehead double."""
 
 from __future__ import annotations
 
@@ -464,31 +465,58 @@ def arf_gf2(entries):
     return 0 if total > 0 else 1
 
 
+def alexander_formula(p) -> LaurentPoly:
+    """Closed form -m*t + (2m+1) - m*t^-1 of a double, m the clasp-signed effective twist.
+
+    The classical formula is normalized for the positive clasp (m = b); the
+    negative-clasp double is the mirror of the positive double with twist -b
+    and the Alexander polynomial is mirror-invariant, so m = -b there.
+    """
+    b = p.effective_twist
+    m = b if p.clasp == "+" else -b
+    return LaurentPoly({1: -m, 0: 2 * m + 1, -1: -m})
+
+
+def sigma_whitehead(p) -> int:
+    """Signature of a double: -2 for a positive clasp with b < 0, +2 for a negative
+    clasp with b > 0, else 0.
+
+    V + V^T = [[-/+2, 1], [1, 2b]] has determinant -/+4b - 1, negative when b
+    has the clasp's sign or is 0, and otherwise definite with the sign of -/+2.
+    """
+    b = p.effective_twist
+    if p.clasp == "+":
+        return -2 if b < 0 else 0
+    return 2 if b > 0 else 0
+
+
+def arf_whitehead(p) -> int:
+    """Arf invariant of a double: the parity of the effective twist."""
+    return p.effective_twist % 2
+
+
 def golden_corpus():
-    """(record, aggregate keyword arguments) pairs behind the golden report file.
+    """The records behind the golden report file.
 
     The seed knots, a grid of Whitehead doubles (every seed companion, both
-    clasps, twists -4..4, framings -1/0/1, with the half-twist note as the
-    CLI adds it) and thirteen records of stored bounds: the eleventh and
-    twelfth are contradictory, and the last makes oss-gamma4 bind gamma4.
+    clasps, twists -4..4, framings -1/0/1) and thirteen records of stored
+    bounds: the eleventh and twelfth are contradictory, and the last makes
+    oss-gamma4 bind gamma4.
     """
     from slicegate.bounds import Interval
     from slicegate.knotdb import KnotRecord, seed_table, whitehead_double_record
-    from slicegate.laurent import LaurentPoly
     from slicegate.plfunc import PLFunction
     from slicegate.seifert import SeifertMatrix
-    from slicegate.whitehead import HALF_TWIST_NOTE, CompanionInvariants, WhiteheadParams
+    from slicegate.whitehead import CompanionInvariants, WhiteheadParams
 
     store = seed_table()
-    corpus = [(store.lookup(name), {}) for name in store.names()]
+    corpus = [store.lookup(name) for name in store.names()]
     for companion in store.names():
         for clasp in "+-":
             for twist in range(-4, 5):
                 for framing in (-1, 0, 1):
                     params = WhiteheadParams(clasp, twist, framing, companion)
-                    record = whitehead_double_record(params, store.lookup(companion))
-                    notes = (HALF_TWIST_NOTE,) if params.half_twist_regime else ()
-                    corpus.append((record, {"notes": notes}))
+                    corpus.append(whitehead_double_record(params, store.lookup(companion)))
 
     def stored(name, **fields):
         top = {k: fields.pop(k) for k in ("seifert_matrix", "alexander", "sigma", "arf")
@@ -496,7 +524,7 @@ def golden_corpus():
         return KnotRecord(name=name, invariants=CompanionInvariants(**fields), **top)
 
     trefoil_upsilon = PLFunction([(0, 0), (1, -1), (2, 0)])
-    corpus += [(stored(*args, **fields), {}) for args, fields in [
+    corpus += [stored(*args, **fields) for args, fields in [
         (("stored-g4-point",), dict(g4=Interval(2, 2), g3=Interval(2, 3))),
         (("stored-gamma4-only",), dict(gamma4=Interval(3, 5))),
         (("stored-g3-sigma",), dict(g3=Interval(0, 1), sigma=-2, arf=1)),

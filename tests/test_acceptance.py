@@ -10,7 +10,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from conftest import arf_gf2, float_signature, make_invalid_seifert, make_valid_seifert
+from conftest import (alexander_formula, arf_gf2, float_signature, make_invalid_seifert,
+                      make_valid_seifert)
 
 from slicegate.bounds import Interval
 from slicegate.knotdb import seed_table, whitehead_double_record
@@ -20,8 +21,7 @@ from slicegate.plfunc import (PLFunction, cable_sandwich, two_q_upsilon_interval
                               upsilon_little)
 from slicegate.seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf,
                                arf_murasugi, signature)
-from slicegate.whitehead import (CompanionInvariants, WhiteheadParams,
-                                 alexander_formula, pattern_seifert_matrix,
+from slicegate.whitehead import (CompanionInvariants, WhiteheadParams, seifert_matrix,
                                  upsilon_whitehead)
 from slicegate.plfunc import euler_number_range
 
@@ -55,7 +55,7 @@ def test_criterion_02_closed_form_vs_determinant():
                 m = b if clasp == "+" else -b
                 closed_form = LaurentPoly({1: -m, 0: 2 * m + 1, -1: -m})
                 assert alexander_formula(params) == closed_form
-                assert alexander(pattern_seifert_matrix(clasp, b)) == closed_form
+                assert alexander(seifert_matrix(params)) == closed_form
                 cases += 1
         assert cases == 42
 
@@ -66,7 +66,7 @@ def test_criterion_03_arf_triple_agreement():
         cases = 0
         for clasp in "+-":
             for b in range(-10, 11):
-                v = pattern_seifert_matrix(clasp, b)
+                v = seifert_matrix(WhiteheadParams(clasp, b))
                 brute = arf_gf2(v.entries)
                 shortcut = arf_murasugi(alexander_formula(WhiteheadParams(clasp, b)))
                 parity = b % 2

@@ -127,11 +127,26 @@ def test_whitehead_untwisted_double_of_figure_eight(capsys):
 
 
 def test_whitehead_half_twist_warning_not_fatal(capsys):
+    # a twist of the sign opposite to the clasp (once called the half-twist regime) is
+    # neither fatal nor noted any more: Wh+_-1 of the unknot has the trefoil's matrix,
+    # so sigma, Arf and Delta are 3_1's, and tau = 1 = g3 forces epsilon = sgn tau = 1
+    code, out, _ = run(capsys, "whitehead", "--clasp", "+", "--twist", "-1",
+                       "--companion", "unknot", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc["report"], REPORT_SCHEMA)
+    code, trefoil, _ = run(capsys, "invariants", "3_1", "--json")
+    assert code == 0
+    assert (doc["sigma"], doc["arf"]) == (-2, 1)
+    assert doc["alexander"] == json.loads(trefoil)["alexander"]
+    assert (doc["tau"], doc["epsilon"]) == (1, 1)
+    assert doc["report"]["notes"] == []
+    assert doc["report"]["bounds"]["gamma4"] == [1, 2]
     code, out, _ = run(capsys, "whitehead", "--clasp", "+", "--twist", "-1",
                        "--companion", "unknot")
     assert code == 0
-    assert "half-twist regime" in out
-    assert "withheld" in out
+    assert "sigma: -2   arf: 1" in out and "tau: 1   epsilon: 1" in out
+    assert "note:" not in out
 
 
 def test_invariants_text_and_json(capsys):
@@ -362,12 +377,13 @@ def _store_with(**fields):
     _store_with(provenance=0, sigma=0),
     _store_with(invariants={"upsilon": 0}, sigma=0),
     _store_with(invariants={"upsilon": []}, sigma=0),
+    _store_with(invariants={"tau": 1, "epsilon": 0}),
 ], ids=["document-not-object", "records-not-list", "record-not-object", "record-without-name",
         "alexander-not-terms", "alexander-null-coefficient", "invariants-not-object",
         "sigma-not-integer", "upsilon-breakpoint-exponent", "matrix-string-entries",
         "alexander-bool-coefficient", "genus-string-bound", "format-version-bool",
         "matrix-false", "invariants-false", "provenance-zero", "upsilon-zero",
-        "upsilon-empty-list"])
+        "upsilon-empty-list", "epsilon-zero-tau-nonzero"])
 def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
     path = tmp_path / "store.json"
     path.write_text(json.dumps(document), encoding="utf-8")

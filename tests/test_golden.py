@@ -18,9 +18,9 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
 
 def golden_lines():
     lines = []
-    for record, options in golden_corpus():
+    for record in golden_corpus():
         try:
-            lines.append(json.dumps(aggregate(record, **options).to_json()))
+            lines.append(json.dumps(aggregate(record).to_json()))
         except ValueError as exc:
             lines.append(f"{type(exc).__name__}: {exc}")
     return lines

@@ -172,8 +172,8 @@ def test_ingest_csv_genus_cell_below_floor_becomes_diagnostic(tmp_path):
 
 def test_ingest_csv_invariant_check_failures_become_diagnostics(tmp_path):
     path = tmp_path / "checks.csv"
-    path.write_text('knot,tau,epsilon,nu,s\nk1,,2,,\nk2,,,,1\nk3,1,,3,\nk4,1,1,2,-2\n',
-                    encoding="utf-8")
+    path.write_text('knot,tau,epsilon,nu,s\nk1,,2,,\nk2,,,,1\nk3,1,,3,\nk4,1,1,2,-2\n'
+                    'k5,1,0,,\n', encoding="utf-8")
     store = KnotStore()
     added, diagnostics = ingest_csv(store, path, {f: f for f in ("tau", "epsilon", "nu", "s")}
                                     | {"name": "knot"})
@@ -182,6 +182,8 @@ def test_ingest_csv_invariant_check_failures_become_diagnostics(tmp_path):
         "row 2: epsilon: unparseable cell '2' (epsilon must be in {-1, 0, 1}, got 2)",
         "row 3: s: unparseable cell '1' (the s invariant is even, got 1)",
         "row 4: nu: nu = 3 must be tau or tau + 1 (tau = 1); row skipped",
+        # each check between two fields names its own field (Hom: epsilon = 0 forces tau = 0)
+        "row 6: epsilon: epsilon = 0 forces tau = 0 (tau = 1); row skipped",
     ]
     assert store.lookup("k1").invariants.epsilon is None
     assert store.lookup("k2").invariants.s is None
@@ -322,7 +324,11 @@ def test_whitehead_double_record_provenance():
     store = seed_table()
     rec = whitehead_double_record(WhiteheadParams("+", 3, 0, "unknot"),
                                   store.lookup("unknot"))
-    assert rec.provenance["sigma"] == "computed"
+    # the record stores the pattern matrix and no sigma, Arf or Delta of its own
+    assert rec.seifert_matrix == SeifertMatrix([[-1, 1], [0, 3]])
+    assert (rec.sigma, rec.arf, rec.alexander) == (None, None, None)
+    assert rec.provenance["seifert_matrix"] == "computed"
+    assert "sigma" not in rec.provenance
     assert rec.provenance["tau"] == "computed"
     assert rec.provenance["gamma4"] == "paper"
     neg = whitehead_double_record(WhiteheadParams("-", -3, 0, "unknot"),
@@ -332,10 +338,14 @@ def test_whitehead_double_record_provenance():
 
 
 def test_whitehead_double_record_half_twist_withholds_matrix_data():
+    # a twist of the sign opposite to the clasp (once called the half-twist regime) no
+    # longer withholds anything: the record carries its pattern matrix like any other
+    # double, and the paper's genus bounds apply
     store = seed_table()
     rec = whitehead_double_record(WhiteheadParams("+", -2, 0, "unknot"),
                                   store.lookup("unknot"))
-    assert rec.seifert_matrix is None
-    assert rec.sigma is None and rec.arf is None
-    assert rec.alexander is not None  # the closed form stays available
-    assert rec.invariants.gamma4 is None  # no conclusion in this regime
+    assert rec.seifert_matrix == SeifertMatrix([[-1, 1], [0, -2]])
+    assert (rec.sigma, rec.arf, rec.alexander) == (None, None, None)
+    assert rec.provenance["seifert_matrix"] == "computed"
+    assert rec.invariants.gamma4 == Interval(1, 2)
+    assert (rec.invariants.tau, rec.invariants.epsilon) == (1, 1)

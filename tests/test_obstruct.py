@@ -109,9 +109,9 @@ def test_aggregate_rule_order_independent(monkeypatch):
     # that it is refused, and every report that is produced, may not
     def outcomes():
         out = []
-        for record, options in golden_corpus():
+        for record in golden_corpus():
             try:
-                out.append(json.dumps(aggregate(record, **options).to_json()))
+                out.append(json.dumps(aggregate(record).to_json()))
             except InconsistentBoundsError:
                 out.append("inconsistent")
         return out
@@ -129,9 +129,9 @@ def test_aggregate_report_survives_rule_shuffles_and_keeps_lo_at_most_hi(monkeyp
 
     def reports():
         out = []
-        for record, options in golden_corpus():
+        for record in golden_corpus():
             try:
-                out.append(json.dumps(aggregate(record, **options).to_json()))
+                out.append(json.dumps(aggregate(record).to_json()))
             except InconsistentBoundsError:
                 out.append(None)
         return out
@@ -152,22 +152,27 @@ def test_aggregate_report_survives_rule_shuffles_and_keeps_lo_at_most_hi(monkeyp
 
 
 def test_aggregate_rederives_whitehead_gamma4_theorem():
-    # the generic engine must agree with the specialized formula on the whole
-    # (clasp, twist, framing) grid, re-deriving the lower bound from
-    # (sigma, Arf) alone since records only store the upper bound
+    # the generic engine must agree with the theorem on the whole (clasp, twist,
+    # framing) grid: records store only gamma4 <= 2, and the lower bound comes from
+    # (sigma, Arf) of the pattern matrix alone, which pins gamma4 = 2 for odd b of
+    # the clasp's sign; with the signs opposite sigma = -/+2 and gamma4 stays [1, 2]
     store = seed_table()
     unknot = store.lookup("unknot")
     for clasp in "+-":
         for t in range(-10, 11):
             for lam in range(-2, 3):
                 params = WhiteheadParams(clasp, t, lam, "unknot")
-                if params.half_twist_regime:
-                    continue
+                b = params.effective_twist
+                opposite = b < 0 if clasp == "+" else b > 0
                 record = whitehead_double_record(params, unknot)
                 report = aggregate(record)
-                assert report.bounds.gamma4 == gamma4_whitehead(params).gamma4, params
-                if report.bounds.gamma4.lo >= 2:
-                    assert report.verdict.nonorientably_slice == "no"
+                facts = record_facts(record)
+                assert facts.sigma == ((-2 if clasp == "+" else 2) if opposite else 0), params
+                assert facts.arf == b % 2, params
+                assert record.invariants.gamma4 == gamma4_whitehead(params).gamma4
+                pinned = b % 2 == 1 and not opposite
+                assert report.bounds.gamma4 == Interval(2 if pinned else 1, 2), params
+                assert report.verdict.nonorientably_slice == ("no" if pinned else "unknown")
 
 
 def test_report_json_shape():

@@ -1,19 +1,17 @@
 """The twisted Whitehead double formula engine."""
 
 import pytest
-from conftest import arf_gf2
+from conftest import alexander_formula, arf_gf2, arf_whitehead, sigma_whitehead
 
 from slicegate.bounds import Interval
 from slicegate.laurent import LaurentPoly
 from slicegate.obstruct import yasuhara
 from slicegate.plfunc import PLFunction, upsilon_little
 from slicegate.seifert import SeifertMatrix, alexander, arf, arf_murasugi, signature
-from slicegate.whitehead import (CompanionInvariants, HalfTwistRegimeError,
-                                 MissingInvariantError, WhiteheadParams,
-                                 alexander_formula, arf_whitehead, cable_target,
-                                 epsilon_whitehead, gamma4_whitehead,
-                                 pattern_seifert_matrix, seifert_matrix,
-                                 sigma_whitehead, tau_whitehead, upsilon_whitehead)
+from slicegate.whitehead import (CompanionInvariants, InvariantClashError,
+                                 MissingInvariantError, WhiteheadParams, cable_target,
+                                 epsilon_whitehead, gamma4_whitehead, seifert_matrix,
+                                 tau_whitehead, upsilon_whitehead)
 
 ZERO = PLFunction.zero()
 TENT_DOWN = PLFunction([(0, 0), (1, -1), (2, 0)])
@@ -31,32 +29,17 @@ def test_params_validation():
     assert wh("+", 3, framing=2).effective_twist == 5
 
 
-def test_half_twist_regime_uses_effective_twist():
-    assert wh("+", -1).half_twist_regime
-    assert wh("-", 1).half_twist_regime
-    assert not wh("+", 0).half_twist_regime
-    assert not wh("-", 0).half_twist_regime
-    # framing shifts the regime boundary
-    assert wh("+", 0, framing=-1).half_twist_regime
-    assert not wh("+", -1, framing=1).half_twist_regime
-    assert wh("-", 0, framing=1).half_twist_regime
-
-
 def test_seifert_matrix_examples():
     assert seifert_matrix(wh("+", 3)) == SeifertMatrix([[-1, 1], [0, 3]])
     assert seifert_matrix(wh("-", -2)) == SeifertMatrix([[1, 1], [0, -2]])
     v0 = seifert_matrix(wh("+", 0))
     assert v0 == SeifertMatrix([[-1, 1], [0, 0]])
     assert alexander(v0) == LaurentPoly.one()
-
-
-def test_seifert_matrix_half_twist_error():
-    with pytest.raises(HalfTwistRegimeError):
-        seifert_matrix(wh("+", -3))
-    with pytest.raises(HalfTwistRegimeError):
-        sigma_whitehead(wh("-", 2))
-    with pytest.raises(HalfTwistRegimeError):
-        arf_whitehead(wh("+", -1))
+    # the matrix sees only the effective twist b = t + lambda
+    assert seifert_matrix(wh("+", 0, framing=-1)) == SeifertMatrix([[-1, 1], [0, -1]])
+    assert seifert_matrix(wh("-", 2, framing=-3)) == seifert_matrix(wh("-", -1))
+    # Wh+_-1 of the unknot has the trefoil's matrix
+    assert seifert_matrix(wh("+", -1)) == SeifertMatrix([[-1, 1], [0, -1]])
 
 
 def test_alexander_formula_examples():
@@ -71,34 +54,38 @@ def test_alexander_formula_examples():
 def test_closed_form_matches_determinant():
     for clasp in "+-":
         for b in range(-10, 11):
-            assert alexander(pattern_seifert_matrix(clasp, b)) == \
-                alexander_formula(wh(clasp, b))
+            assert alexander(seifert_matrix(wh(clasp, b))) == alexander_formula(wh(clasp, b))
 
 
 def test_sigma_and_arf_formulas():
     assert sigma_whitehead(wh("+", 5)) == 0
     assert sigma_whitehead(wh("-", -1)) == 0
     assert sigma_whitehead(wh("+", 0)) == 0
+    assert sigma_whitehead(wh("+", -1)) == -2
+    assert sigma_whitehead(wh("-", 2)) == 2
+    assert sigma_whitehead(wh("+", 0, framing=-1)) == -2
     assert arf_whitehead(wh("+", 2)) == 0
     assert arf_whitehead(wh("+", 3)) == 1
     assert arf_whitehead(wh("+", 3, framing=1)) == 0
     assert arf_whitehead(wh("+", 3, framing=1)) == arf(seifert_matrix(wh("+", 3, framing=1)))
 
 
-def test_signature_vanishes_outside_half_twist_regime():
+def test_signature_of_pattern_matrix():
+    # 0 when b has the clasp's sign or is 0; -2 (+ clasp) or +2 (- clasp) otherwise
     for clasp in "+-":
         for b in range(-10, 11):
-            if (clasp == "+" and b < 0) or (clasp == "-" and b > 0):
-                continue
-            assert signature(pattern_seifert_matrix(clasp, b)) == 0
+            v = seifert_matrix(wh(clasp, b))
+            opposite = b < 0 if clasp == "+" else b > 0
+            expected = (-2 if clasp == "+" else 2) if opposite else 0
+            assert signature(v) == sigma_whitehead(wh(clasp, b)) == expected, (clasp, b)
 
 
 def test_arf_triple_agreement():
     for clasp in "+-":
         for b in range(-10, 11):
-            v = pattern_seifert_matrix(clasp, b)
+            v = seifert_matrix(wh(clasp, b))
             shortcut = arf_murasugi(alexander_formula(wh(clasp, b)))
-            assert arf_gf2(v.entries) == arf(v) == shortcut == b % 2
+            assert arf_gf2(v.entries) == arf(v) == shortcut == arf_whitehead(wh(clasp, b))
 
 
 def test_tau_whitehead():
@@ -119,8 +106,24 @@ def test_epsilon_whitehead():
     # negative clasp through the mirror identity: nonzero value is -1
     assert epsilon_whitehead(wh("-", 0), CompanionInvariants(tau=-1, epsilon=-1)) == -1
     assert epsilon_whitehead(wh("-", 0), CompanionInvariants(tau=0, epsilon=0)) == 0
+    # tau(D) = +/-1 = g3(D) forces epsilon(D) = sgn tau(D) (Hom), even when the companion
+    # has tau = epsilon = 0: Wh+_-1 of the unknot is the trefoil
+    assert epsilon_whitehead(wh("+", -1), CompanionInvariants(tau=0, epsilon=0)) == 1
+    assert epsilon_whitehead(wh("-", 1), CompanionInvariants(tau=0, epsilon=0)) == -1
+    assert epsilon_whitehead(wh("+", 3), CompanionInvariants(tau=2, epsilon=1)) == 1
     with pytest.raises(MissingInvariantError):
         epsilon_whitehead(wh("+", 0), CompanionInvariants(tau=0))
+
+
+def test_epsilon_agrees_with_tau_on_the_grid():
+    for clasp in "+-":
+        for b in range(-6, 7):
+            for tau, eps in ((0, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (2, 1), (-2, -1)):
+                c = CompanionInvariants(tau=tau, epsilon=eps)
+                tau_d, eps_d = tau_whitehead(wh(clasp, b), c), epsilon_whitehead(wh(clasp, b), c)
+                split = 0 if tau == eps == 0 else (1 if clasp == "+" else -1)
+                assert eps_d == (tau_d or split), (clasp, b, tau, eps)
+                CompanionInvariants(tau=tau_d, epsilon=eps_d)  # passes the epsilon/tau check
 
 
 def test_upsilon_whitehead_cases():
@@ -144,24 +147,23 @@ def test_upsilon_whitehead_properties():
 
 
 def test_gamma4_whitehead():
-    assert gamma4_whitehead(wh("+", 3)).gamma4 == Interval(2, 2)
-    assert gamma4_whitehead(wh("+", 2)).gamma4 == Interval(1, 2)
-    assert gamma4_whitehead(wh("-", -5)).gamma4 == Interval(2, 2)
-    assert gamma4_whitehead(wh("+", 3)).gamma3 == Interval(1, 2)
-    half = gamma4_whitehead(wh("+", -3))
-    assert half.gamma4 == Interval(1, None)
-    assert half.gamma3 == Interval(1, None)
+    # upper bounds only, for every clasp and twist
+    for clasp in "+-":
+        for b in range(-10, 11):
+            bounds = gamma4_whitehead(wh(clasp, b))
+            assert bounds.gamma4 == Interval(1, 2)
+            assert bounds.gamma3 == Interval(1, 2)
+            assert bounds.g4 is None and bounds.g3 is None
 
 
 def test_gamma4_whitehead_matches_yasuhara_predicate():
+    # Yasuhara on the pattern matrix's (sigma, Arf) pins gamma4 = 2 exactly for odd b of
+    # the clasp's sign; with the signs opposite sigma = -/+2 and it does not fire
     for clasp in "+-":
         for b in range(-10, 11):
-            p = wh(clasp, b)
-            if p.half_twist_regime:
-                continue
-            pinned = gamma4_whitehead(p).gamma4 == Interval(2, 2)
+            v = seifert_matrix(wh(clasp, b))
             sign_compatible = (clasp == "+" and b > 0) or (clasp == "-" and b < 0)
-            assert pinned == (yasuhara(0, b % 2) and sign_compatible)
+            assert yasuhara(signature(v), arf(v)) == (b % 2 == 1 and sign_compatible)
 
 
 def test_cable_target():
@@ -174,8 +176,14 @@ def test_cable_target():
 
 
 def test_companion_invariants_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantClashError) as exc:
         CompanionInvariants(tau=1, nu=3)  # nu must be tau or tau + 1
+    assert exc.value.field == "nu"
+    with pytest.raises(InvariantClashError, match=r"^epsilon = 0 forces tau = 0 \(tau = 1\)$") as exc:
+        CompanionInvariants(tau=1, epsilon=0)  # Hom: epsilon = 0 forces tau = 0
+    assert exc.value.field == "epsilon"
+    CompanionInvariants(tau=0, epsilon=1)
+    CompanionInvariants(epsilon=0)
     with pytest.raises(ValueError):
         CompanionInvariants(epsilon=2)
     with pytest.raises(ValueError):
