@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import value_class
 from .laurent import _wire_int
 
 
-@dataclass(frozen=True)
+@value_class
 class Interval:
     """Closed integer interval [lo, hi]; hi = None means no finite upper bound."""
 
@@ -39,7 +38,7 @@ class Interval:
 GENUS_FLOOR = {"g4": 0, "gamma4": 1, "g3": 0, "gamma3": 1}
 
 
-@dataclass(frozen=True)
+@value_class
 class GenusBounds:
     """Interval bounds for the orientable/non-orientable 3- and 4-genus.
 

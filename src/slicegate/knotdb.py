@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
 
 from . import seifert as _seifert
 from . import whitehead as _wh
+from ._record import default_factory, value_class
 from .bounds import GENUS_FLOOR, Interval
 from .laurent import InvalidAlexanderError, LaurentPoly, _wire_int, check_alexander, normalize
 from .plfunc import PLFunction
@@ -40,17 +40,17 @@ class InconsistentRecordError(ValueError):
     """A stored field disagrees with the value computed from the Seifert matrix."""
 
 
-@dataclass(frozen=True)
+@value_class
 class KnotRecord:
     """One knot: name, optional Seifert matrix, optional invariants, provenance tags."""
 
     name: str
     seifert_matrix: SeifertMatrix | None = None
     alexander: LaurentPoly | None = None
-    invariants: CompanionInvariants = field(default_factory=CompanionInvariants)
+    invariants: CompanionInvariants = default_factory(CompanionInvariants)
     sigma: int | None = None
     arf: int | None = None
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = default_factory(dict)
 
     def validate(self) -> "KnotRecord":
         """Cross-check stored values against each other and anything computable.

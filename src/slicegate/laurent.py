@@ -13,11 +13,12 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count, zip_longest
 from typing import Iterable, Mapping, NamedTuple
+
+from ._record import value_class
 
 
 class InvalidAlexanderError(ValueError):
@@ -567,7 +568,7 @@ def factor(q: IntPoly) -> tuple[list[IntPoly], int]:
 # -- Fox-Milnor --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class FoxMilnorResult:
     """Outcome of the Fox-Milnor factorization test.
 

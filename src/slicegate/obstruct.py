@@ -10,11 +10,11 @@ raise an error naming the clashing rules instead of silently clamping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import seifert as _seifert
+from ._record import value_class
 from .bounds import GENUS_FLOOR, GenusBounds, Interval
 from .laurent import FoxMilnorResult, LaurentPoly, fox_milnor, fox_milnor_det_check, normalize
 from .plfunc import g4_lower_bound, oss_gamma4_lower_bound, upsilon_little
@@ -43,7 +43,7 @@ def yasuhara(sigma: int, arf: int) -> bool:
 # the fact builder
 
 
-@dataclass
+@value_class
 class Facts:
     """The classical facts of one record; tau, nu and Upsilon are read from stored."""
 
@@ -256,7 +256,7 @@ class _Tracker:
 # reports
 
 
-@dataclass(frozen=True)
+@value_class
 class AppliedRule:
     rule: str
     anchor: str
@@ -266,7 +266,7 @@ class AppliedRule:
         return {"rule": self.rule, "anchor": self.anchor, "contribution": self.contribution}
 
 
-@dataclass(frozen=True)
+@value_class
 class Verdict:
     """Three-valued sliceness verdicts; 'nonorientably slice' means gamma4 = 1."""
 
@@ -291,7 +291,7 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
+@value_class
 class ObstructionReport:
     name: str
     bounds: GenusBounds
@@ -316,7 +316,7 @@ def aggregate(record: "KnotRecord") -> ObstructionReport:
     """
     facts = record_facts(record)
     if (facts.sigma is None and facts.arf is None and facts.delta is None
-            and all(getattr(facts.stored, q.name) is None for q in fields(facts.stored))):
+            and all(getattr(facts.stored, q) is None for q in facts.stored._fields)):
         raise ValueError(f"record {facts.name!r} carries no matrix, polynomial, "
                          "or stored invariants to aggregate")
     tracker = _Tracker()

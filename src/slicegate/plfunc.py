@@ -9,8 +9,9 @@ domain [0, 2/p] and reuse the same representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import value_class
 
 
 def _frac(x) -> Fraction:
@@ -163,7 +164,7 @@ def two_q_upsilon_interval(q: int) -> tuple[Fraction, Fraction]:
     return mid - 1, mid + 1
 
 
-@dataclass(frozen=True)
+@value_class
 class CobordismCheck:
     """Data of a non-orientable cobordism between two knots.
 

@@ -9,8 +9,7 @@ sigma, Arf and Delta are read off it by the seifert kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import value_class
 from .bounds import GenusBounds, Interval
 from .plfunc import PLFunction
 from .seifert import SeifertMatrix
@@ -30,7 +29,7 @@ class InvariantClashError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
+@value_class
 class WhiteheadParams:
     """Parameters of a t-twisted Whitehead double: clasp, twist, framing, companion name."""
 
@@ -55,7 +54,7 @@ class WhiteheadParams:
         return f"{base}({self.companion})"
 
 
-@dataclass(frozen=True)
+@value_class
 class CompanionInvariants(GenusBounds):
     """Stored concordance invariants of a knot, all optional.
 
