@@ -1,8 +1,8 @@
 """slicegate: exact knot concordance invariants and 4-genus obstruction reports."""
 
 from .bounds import GenusBounds, Interval
-from .laurent import (FoxMilnorResult, IntPoly, InvalidAlexanderError, LaurentPoly,
-                      Unit, factor, fox_milnor, normalize)
+from .laurent import (FoxMilnorResult, InvalidAlexanderError, LaurentPoly, factor, fox_milnor,
+                      normalize)
 from .knotdb import (KnotRecord, KnotStore, ingest_csv, load, save, seed_table,
                      whitehead_double_record)
 from .obstruct import (AppliedRule, InconsistentBoundsError, ObstructionReport,

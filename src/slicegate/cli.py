@@ -149,7 +149,7 @@ def _cmd_invariants(args, store) -> int:
         "determinant": det,
         "alexander": delta.to_terms(),
         "fox_milnor": {"passes": fm.passes,
-                       "witness": list(fm.witness.coeffs) if fm.witness else None,
+                       "witness": list(fm.witness.dense()) if fm.witness else None,
                        "reason": fm.reason},
         "bounds": gb.to_json() if gb is not None else None,
         "levine_tristram": [{"omega": w, "signature": s} for w, s in lt],

@@ -13,10 +13,10 @@ import math
 import operator
 import random
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count, zip_longest
-from typing import Iterable, Mapping, NamedTuple
 
 from ._record import value_class
 
@@ -61,9 +61,8 @@ class LaurentPoly:
         cleaned = {}
         if coeffs:
             for e, c in dict(coeffs).items():
-                c = int(c)
-                if c:
-                    cleaned[int(e)] = c
+                if c := _wire_int(c):
+                    cleaned[_wire_int(e)] = c
         self._coeffs = cleaned
 
     @classmethod
@@ -100,6 +99,11 @@ class LaurentPoly:
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
+
+    def dense(self) -> tuple[int, ...]:
+        """The coefficients of t^min_exp, t^(min_exp + 1), ..., t^max_exp."""
+        cs = self._coeffs
+        return tuple(cs.get(e, 0) for e in range(self.min_exp, self.max_exp + 1))
 
     @property
     def min_exp(self) -> int:
@@ -185,91 +189,16 @@ class LaurentPoly:
         return _fmt_terms((e, c) for e, c in self._coeffs.items())
 
 
-class IntPoly:
-    """Dense integer polynomial with nonzero leading coefficient.
-
-    coeffs[k] is the coefficient of t^k; the zero polynomial is not
-    representable (normalization and factoring reject it upstream).
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            raise ValueError("IntPoly cannot represent the zero polynomial")
-        self._coeffs = tuple(cs)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def leading(self) -> int:
-        return self._coeffs[-1]
-
-    def __call__(self, x: int) -> int:
-        return _poly_eval(self._coeffs, x)
-
-    def __eq__(self, other):
-        if isinstance(other, IntPoly):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __mul__(self, other):
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return IntPoly(_poly_mul(self._coeffs, other._coeffs))
-
-    def to_laurent(self) -> LaurentPoly:
-        return LaurentPoly({e: c for e, c in enumerate(self._coeffs)})
-
-    def __repr__(self):
-        return f"IntPoly({_fmt_terms((e, c) for e, c in enumerate(self._coeffs) if c)!r})"
-
-    def __str__(self):
-        return _fmt_terms((e, c) for e, c in enumerate(self._coeffs) if c)
-
-
-class Unit(NamedTuple):
-    """A Laurent unit +/- t^k."""
-
-    sign: int
-    power: int
-
-    def as_laurent(self) -> LaurentPoly:
-        return LaurentPoly({self.power: self.sign})
-
-    def __str__(self):
-        s = "+" if self.sign > 0 else "-"
-        return f"{s}1" if self.power == 0 else f"{s}t^{self.power}"
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 
 
-def normalize(p: LaurentPoly) -> tuple[IntPoly, Unit]:
-    """Write p = unit * q with q an integer polynomial, q(0) != 0, positive leading coefficient."""
+def normalize(p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """(q, u) with p = u * q, u = +/-t^k, q(0) != 0 and q's leading coefficient positive."""
     if not p:
         raise ValueError("cannot normalize the zero polynomial")
-    m = p.min_exp
-    shifted = {e - m: c for e, c in p.coeffs.items()}
-    cs = [shifted.get(k, 0) for k in range(max(shifted) + 1)]
-    sign = 1
-    if cs[-1] < 0:
-        sign = -1
-        cs = [-c for c in cs]
-    return IntPoly(cs), Unit(sign, m)
+    m, sign = p.min_exp, 1 if p._coeffs[p.max_exp] > 0 else -1
+    return LaurentPoly({e - m: sign * c for e, c in p._coeffs.items()}), LaurentPoly({m: sign})
 
 
 def check_alexander(p: LaurentPoly) -> LaurentPoly:
@@ -550,19 +479,24 @@ def _factor_primitive(f):
     return out
 
 
-def factor(q: IntPoly) -> tuple[list[IntPoly], int]:
-    """Factor q over Z into irreducible primitive factors and an integer content.
+def _from_dense(cs) -> LaurentPoly:
+    return LaurentPoly(dict(enumerate(cs)))
+
+
+def factor(q: LaurentPoly) -> tuple[list[LaurentPoly], int]:
+    """Factor q, with no negative exponent, over Z into irreducible primitive factors and a content.
 
     The product of the returned factors times the content reproduces q
     exactly; the factors, sorted by degree and then coefficients, have
     positive leading coefficients, and a root at 0 is the factor t.
     """
-    prim = _primitive(list(q.coeffs))
-    content = q.leading // prim[-1]
-    zeros = next(k for k, c in enumerate(prim) if c)
-    raw = [[0, 1]] * zeros + _factor_primitive(prim[zeros:])
-    out = sorted((IntPoly(f) for f in raw), key=lambda f: (f.degree, f.coeffs))
-    return out, content
+    if q.min_exp < 0:
+        raise ValueError(f"factor takes a polynomial in t, got {q}")
+    cs = q.dense()
+    prim = _primitive(cs)
+    content = cs[-1] // prim[-1]
+    raw = [[0, 1]] * q.min_exp + _factor_primitive(prim)
+    return [_from_dense(f) for f in sorted(raw, key=lambda f: (len(f), f))], content
 
 
 # -- Fox-Milnor --------------------------------------------------------------
@@ -576,8 +510,8 @@ class FoxMilnorResult:
     """
 
     passes: bool
-    witness: IntPoly | None = None
-    unit: Unit | None = None
+    witness: LaurentPoly | None = None
+    unit: LaurentPoly | None = None
     reason: str = ""
 
     def __bool__(self):
@@ -620,25 +554,20 @@ def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
     factors, content = factor(q)
     assert content == 1
 
-    counts = Counter(f.coeffs for f in factors)
+    counts = Counter(f.dense() for f in factors)
     half: list[tuple[int, ...]] = []
     for cs, k in sorted(counts.items()):
         star = _reciprocal(cs)
         if star == cs and k % 2:
             return FoxMilnorResult(
-                False, reason=f"self-reciprocal factor {IntPoly(cs)} has odd multiplicity {k}")
+                False, reason=f"self-reciprocal factor {_from_dense(cs)} has odd multiplicity {k}")
         if star != cs and counts[star] != k:
-            return FoxMilnorResult(
-                False,
-                reason=f"factor {IntPoly(cs)} does not pair with its reciprocal {IntPoly(star)}")
+            return FoxMilnorResult(False, reason=f"factor {_from_dense(cs)} does not pair with "
+                                                 f"its reciprocal {_from_dense(star)}")
         if cs <= star:
             half.extend([cs] * (k // 2 if star == cs else k))
 
-    witness = IntPoly(reduce(_poly_mul, half, [1]))
-    wl = witness.to_laurent()
-    product = wl * wl.involute()
-    q_prod, u_prod = normalize(product)
-    assert q_prod == q, "pairing accepted but re-multiplication disagrees"
-    out_unit = Unit(unit.sign * u_prod.sign, unit.power - u_prod.power)
-    assert out_unit.as_laurent() * product == p
-    return FoxMilnorResult(True, witness=witness, unit=out_unit)
+    witness = _from_dense(reduce(_poly_mul, half, [1]))
+    unit = unit * normalize(witness * witness.involute())[1].involute()  # 1/(+/-t^k) = +/-t^-k
+    assert unit * witness * witness.involute() == p, "pairing accepted but the product differs"
+    return FoxMilnorResult(True, witness=witness, unit=unit)

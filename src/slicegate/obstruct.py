@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import seifert as _seifert
 from ._record import value_class
 from .bounds import GENUS_FLOOR, GenusBounds, Interval
+from .knotdb import KnotRecord
 from .laurent import FoxMilnorResult, LaurentPoly, fox_milnor, fox_milnor_det_check, normalize
 from .plfunc import g4_lower_bound, oss_gamma4_lower_bound, upsilon_little
-
-if TYPE_CHECKING:
-    from .knotdb import KnotRecord
-    from .whitehead import CompanionInvariants
+from .whitehead import CompanionInvariants
 
 _STORED_ANCHOR = "input invariant table"
 
@@ -54,10 +51,10 @@ class Facts:
     fm: FoxMilnorResult | None
     upsilon_value: Fraction | None
     surface_genus: int | None
-    stored: "CompanionInvariants"
+    stored: CompanionInvariants
 
 
-def record_facts(record: "KnotRecord") -> Facts:
+def record_facts(record: KnotRecord) -> Facts:
     """The classical facts of a record, each from the one source chosen here.
 
     sigma and Delta come from the Seifert matrix when the record has one
@@ -308,7 +305,7 @@ class ObstructionReport:
         }
 
 
-def aggregate(record: "KnotRecord") -> ObstructionReport:
+def aggregate(record: KnotRecord) -> ObstructionReport:
     """Run every obstruction rule on a knot record and report the tightest bounds.
 
     Raises InconsistentBoundsError when the declared data contradicts a rule
@@ -341,7 +338,7 @@ def aggregate(record: "KnotRecord") -> ObstructionReport:
     topological = smooth = "unknown"
     if facts.fm is not None and not facts.fm.passes:
         topological = "no"
-    elif facts.delta is not None and normalize(facts.delta)[0].coeffs == (1,):
+    elif facts.delta is not None and normalize(facts.delta)[0] == 1:
         # Delta is a unit +/-t^k, the trivial Alexander polynomial up to units
         topological = "yes"
         applied.append(AppliedRule(

@@ -102,7 +102,11 @@ class PLFunction:
     @classmethod
     def from_json(cls, obj) -> "PLFunction":
         try:
-            return cls(obj["breakpoints"])
+            bps = obj["breakpoints"]
+            if any(isinstance(x, str) for bp in bps for x in bp):  # _frac would parse "1/2"
+                raise ValueError(f"PL-function coordinates are integers or [num, den] pairs, "
+                                 f"got {bps!r}")
+            return cls(bps)
         except (KeyError, TypeError):
             raise ValueError('a PL function is {"breakpoints": [[s, v], ...]}') from None
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bounds import GenusBounds, Interval
-from .laurent import (LaurentPoly, _poly_div_exact, _poly_mul, _sturm_chain,
-                      _wire_int, check_alexander, normalize)
+from .laurent import (LaurentPoly, _poly_div_exact, _poly_mul, _sturm_chain, _wire_int,
+                      check_alexander)
 from .plfunc import _frac
 
 
@@ -448,10 +448,10 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     if v.n == 0:
         return 0
     delta = alexander(v)
-    delta_poly, _ = normalize(delta)
+    cs = delta.dense()
     # Phi_q has degree phi(q) >= sqrt(q/2), so it cannot divide Delta when q > 2 deg^2
-    if (w.denominator <= 2 * delta_poly.degree ** 2
-            and _poly_div_exact(delta_poly.coeffs, _cyclotomic(w.denominator)) is not None):
+    if (w.denominator <= 2 * (len(cs) - 1) ** 2
+            and _poly_div_exact(cs, _cyclotomic(w.denominator)) is not None):
         return None
     if v._chain is None:
         v._chain = _sturm_chain(_trace_poly(delta))

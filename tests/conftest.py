@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from slicegate.laurent import IntPoly, LaurentPoly, _poly_div_exact, _poly_eval, _poly_mul
+from slicegate.laurent import LaurentPoly, _poly_div_exact, _poly_eval, _poly_mul
 
 
 def random_unimodular(rng, n, ops=4):
@@ -424,15 +424,15 @@ def factor_kronecker(q):
     positive leading coefficient, signed content), exponential in the degree;
     fine up to degree 12.
     """
-    cs = list(q.coeffs)
+    cs = [0] * q.min_exp + list(q.dense())
     g = reduce(math.gcd, (abs(c) for c in cs))
     content = g if cs[-1] > 0 else -g
     prim = [c // content for c in cs]
     if len(prim) == 1:
         return [], content
     raw = _kronecker_factor_primitive(prim)
-    out = sorted((IntPoly(f) for f in raw), key=lambda f: (f.degree, f.coeffs))
-    return out, content
+    out = sorted(raw, key=lambda f: (len(f), f))
+    return [LaurentPoly(dict(enumerate(f))) for f in out], content
 
 
 def arf_gf2(entries):

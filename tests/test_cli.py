@@ -333,6 +333,8 @@ TREFOIL = {"n": 2, "entries": [[-1, 1], [0, -1]]}  # a valid matrix file
      {"breakpoints": [[0, 0], [2, 0]]}),
     (["cable-bounds", "--p", "2", "--q", "1", "--upsilon-of", "3_1", "--upsilon-file", "{file}"],
      {"breakpoints": [[0, 0], [2, 0]]}),
+    (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-file", "{file}"],
+     {"breakpoints": [[0, 0], ["1/2", 0], [2, 0]]}),
 ], ids=["omega-zero-denominator", "cobordism-zero-denominator",
         "euler-range-zero-denominator", "upsilon-file-zero-denominator",
         "matrix-file-without-entries", "matrix-file-entries-not-rows",
@@ -342,7 +344,7 @@ TREFOIL = {"n": 2, "entries": [[-1, 1], [0, -1]]}  # a valid matrix file
         "upsilon-file-float-pair", "invariants-name-and-matrix-file",
         "obstruct-name-and-matrix-file", "obstruct-all-and-matrix-file", "obstruct-all-and-name",
         "cable-bounds-zero-and-upsilon-of", "cable-bounds-zero-and-upsilon-file",
-        "cable-bounds-upsilon-of-and-upsilon-file"])
+        "cable-bounds-upsilon-of-and-upsilon-file", "upsilon-file-string-coordinate"])
 def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document):
     path = tmp_path / "input.json"
     if document is not None:
@@ -378,12 +380,13 @@ def _store_with(**fields):
     _store_with(invariants={"upsilon": 0}, sigma=0),
     _store_with(invariants={"upsilon": []}, sigma=0),
     _store_with(invariants={"tau": 1, "epsilon": 0}),
+    _store_with(invariants={"upsilon": {"breakpoints": [[0, 0], ["1.5", "-1"], [2, 0]]}}),
 ], ids=["document-not-object", "records-not-list", "record-not-object", "record-without-name",
         "alexander-not-terms", "alexander-null-coefficient", "invariants-not-object",
         "sigma-not-integer", "upsilon-breakpoint-exponent", "matrix-string-entries",
         "alexander-bool-coefficient", "genus-string-bound", "format-version-bool",
         "matrix-false", "invariants-false", "provenance-zero", "upsilon-zero",
-        "upsilon-empty-list", "epsilon-zero-tau-nonzero"])
+        "upsilon-empty-list", "epsilon-zero-tau-nonzero", "upsilon-string-coordinate"])
 def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
     path = tmp_path / "store.json"
     path.write_text(json.dumps(document), encoding="utf-8")

@@ -91,10 +91,11 @@ def test_value_class_equality_and_dedup():
     assert CobordismCheck("1/2", 0, 4).upsilon_start == Fraction(1, 2)  # __post_init__ coerces
 
 
-def test_cli_process_imports_neither_dataclasses_nor_inspect():
-    """dataclasses loads inspect, ast and dis: ~15 ms of every CLI process's start."""
+def test_cli_process_imports_no_dataclasses_inspect_or_typing():
+    """dataclasses loads inspect, ast and dis: ~15 ms of every CLI process's start; typing ~4 ms."""
     env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
-    code = "import sys, slicegate.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = ("import sys, slicegate.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     # -S keeps site's own imports out of sys.modules
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)

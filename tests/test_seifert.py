@@ -817,7 +817,7 @@ def _root_angles(v):
     import numpy as np
 
     q, _ = normalize(alexander(v))
-    roots = np.roots(q.coeffs[::-1]) if q.degree else []
+    roots = np.roots(q.dense()[::-1]) if q.max_exp else []
     return [math.atan2(r.imag, r.real) / (2 * math.pi)
             for r in roots if abs(abs(r) - 1) < 1e-9 and r.imag > 0]
 
