@@ -11,7 +11,7 @@ from .plfunc import (CobordismCheck, PLFunction, cable_sandwich, cobordism_inequ
                      euler_number_range, g4_lower_bound, oss_gamma4_lower_bound,
                      two_q_upsilon_interval, upsilon_little)
 from .seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf, arf_murasugi,
-                      determinant, genus_bounds_from_matrix, levine_tristram, signature)
+                      determinant, levine_tristram, signature)
 from .whitehead import (CompanionInvariants, InvariantClashError, MissingInvariantError,
                         WhiteheadParams, cable_target, epsilon_whitehead, gamma4_whitehead,
                         seifert_matrix, tau_whitehead, upsilon_whitehead)

@@ -13,13 +13,12 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import knotdb, plfunc
 from . import seifert as _seifert
 from . import whitehead as _wh
 from .knotdb import KnotRecord, KnotStore, UnknownKnotError
-from .obstruct import ObstructionReport, aggregate, record_facts
+from .obstruct import ObstructionReport, _aggregate_facts, aggregate, record_facts
 from .plfunc import CobordismCheck, PLFunction
 from .seifert import SeifertMatrix
 from .whitehead import WhiteheadParams
@@ -137,7 +136,7 @@ def _cmd_invariants(args, store) -> int:
                          "Levine-Tristram signatures need one")
     arf_val = _seifert.arf_murasugi(delta)  # aggregate reads no Arf off a stored-only Delta
     det = abs(delta.at_pm1(-1))
-    gb = _seifert.genus_bounds_from_matrix(v) if v is not None else None
+    bounds = _aggregate_facts(facts).bounds  # the obstruct report's, from the same facts
     lt = []
     for angle in args.omega or []:
         val = _seifert.levine_tristram(v, angle)
@@ -151,7 +150,7 @@ def _cmd_invariants(args, store) -> int:
         "fox_milnor": {"passes": fm.passes,
                        "witness": list(fm.witness.dense()) if fm.witness else None,
                        "reason": fm.reason},
-        "bounds": gb.to_json() if gb is not None else None,
+        "bounds": bounds.to_json(),
         "levine_tristram": [{"omega": w, "signature": s} for w, s in lt],
     }
     lines = [
@@ -162,9 +161,8 @@ def _cmd_invariants(args, store) -> int:
         f"alexander: {delta}",
         f"fox-milnor: {'passes' if fm.passes else 'fails'}"
         + (f" (witness f = {fm.witness})" if fm.passes else f" ({fm.reason})"),
+        *_bounds_lines(bounds),
     ]
-    if gb is not None:
-        lines += _bounds_lines(gb)
     for w, s in lt:
         lines.append(f"levine-tristram @ {w}: {s}")
     _emit(args, payload, lines)
@@ -274,18 +272,17 @@ def _cmd_cobordism(args, store) -> int:
         betti=args.betti,
     )
     ok = plfunc.cobordism_inequality(check)
-    lhs = abs(check.upsilon_start - check.upsilon_end + Fraction(check.euler, 4))
     payload = {
         "upsilon_start": str(check.upsilon_start),
         "upsilon_end": str(check.upsilon_end),
         "euler": check.euler,
         "betti": check.betti,
-        "lhs": str(lhs),
-        "bound": str(Fraction(check.betti, 2)),
+        "lhs": str(check.lhs),
+        "bound": str(check.bound),
         "consistent": ok,
     }
     lines = [
-        f"|v(K0) - v(K1) + e/4| = {lhs} vs b1/2 = {Fraction(check.betti, 2)}",
+        f"|v(K0) - v(K1) + e/4| = {check.lhs} vs b1/2 = {check.bound}",
         f"cobordism data {'consistent' if ok else 'OBSTRUCTED: no such surface'}",
     ]
     _emit(args, payload, lines)

@@ -225,13 +225,6 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_eval(cs, x):
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 def _poly_div_exact(num, den):
     """Quotient of num by den over Z, or None when den does not divide num."""
     num = list(num)

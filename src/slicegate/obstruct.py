@@ -311,7 +311,11 @@ def aggregate(record: KnotRecord) -> ObstructionReport:
     Raises InconsistentBoundsError when the declared data contradicts a rule
     (the message names the clashing rules).
     """
-    facts = record_facts(record)
+    return _aggregate_facts(record_facts(record))
+
+
+def _aggregate_facts(facts: Facts) -> ObstructionReport:
+    """aggregate() on facts already built, so a caller that holds them builds them once."""
     if (facts.sigma is None and facts.arf is None and facts.delta is None
             and all(getattr(facts.stored, q) is None for q in facts.stored._fields)):
         raise ValueError(f"record {facts.name!r} carries no matrix, polynomial, "

@@ -188,11 +188,20 @@ class CobordismCheck:
         if self.betti < 1:
             raise ValueError("a non-orientable surface has first Betti number >= 1")
 
+    @property
+    def lhs(self) -> Fraction:
+        """|v(K0) - v(K1) + e(F)/4|, the left side of the cobordism inequality."""
+        return abs(self.upsilon_start - self.upsilon_end + Fraction(self.euler, 4))
+
+    @property
+    def bound(self) -> Fraction:
+        """b1(F)/2, its right side."""
+        return Fraction(self.betti, 2)
+
 
 def cobordism_inequality(c: CobordismCheck) -> bool:
     """Whether |v(K0) - v(K1) + e(F)/4| <= b1(F)/2 holds for the cobordism data."""
-    lhs = abs(c.upsilon_start - c.upsilon_end + Fraction(c.euler, 4))
-    return lhs <= Fraction(c.betti, 2)
+    return c.lhs <= c.bound
 
 
 def euler_number_range(upsilon_wh, q: int) -> tuple[int, int]:

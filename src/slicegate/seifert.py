@@ -1,5 +1,5 @@
 """Invariants computed from Seifert matrices: signature, Arf, Alexander
-polynomial, determinant, Levine-Tristram signatures, and genus bounds.
+polynomial, determinant and Levine-Tristram signatures.
 
 Everything is exact integer arithmetic.  One fraction-free symmetric
 elimination gives the signature of V + V^T and, as its last pivot, the
@@ -21,7 +21,6 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .bounds import GenusBounds, Interval
 from .laurent import (LaurentPoly, _poly_div_exact, _poly_mul, _sturm_chain, _wire_int,
                       check_alexander)
 from .plfunc import _frac
@@ -465,18 +464,3 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     return _signature_int([[a * x for x in row] for row in v.pencil(-1)],
                           [[-b * x for x in row] for row in v.pencil(1)])[0]
 
-
-def genus_bounds_from_matrix(v: SeifertMatrix) -> GenusBounds:
-    """Genus bounds visible from one Seifert matrix.
-
-    The surface behind an n x n matrix has genus n/2, so g3 and g4 are at
-    most n/2 and gamma4 at most 2(n/2) + 1 (orientable surface plus one
-    crosscap); |signature|/2 bounds g4 from below.
-    """
-    g = v.n // 2
-    lo = abs(signature(v)) // 2
-    return GenusBounds(
-        g4=Interval(lo, g),
-        gamma4=Interval(1, 2 * g + 1),
-        g3=Interval(0, g),
-    )

@@ -15,7 +15,15 @@ from functools import reduce
 
 import numpy as np
 
-from slicegate.laurent import LaurentPoly, _poly_div_exact, _poly_eval, _poly_mul
+from slicegate.laurent import LaurentPoly, _poly_div_exact, _poly_mul
+
+
+def _poly_eval(cs, x):
+    """The dense coefficient list cs (constant term first) evaluated at x, by Horner."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 def random_unimodular(rng, n, ops=4):

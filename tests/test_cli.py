@@ -9,11 +9,11 @@ import subprocess
 import sys
 
 import pytest
-from conftest import make_valid_seifert, torus_2q_seifert
+from conftest import golden_corpus, make_valid_seifert, torus_2q_seifert
 from jsonschema import validate
 
 import slicegate
-from slicegate import cli, knotdb
+from slicegate import cli, knotdb, laurent
 from slicegate import seifert as _seifert
 from slicegate.cli import main
 from slicegate.knotdb import KnotRecord
@@ -158,6 +158,8 @@ def test_invariants_text_and_json(capsys):
     doc = json.loads(out)
     assert doc["alexander"] == [[-1, -1], [3, 0], [-1, 1]]
     assert doc["levine_tristram"] == [{"omega": "1/2", "signature": 0}]
+    # Arf = 1 gives g4 >= 1, and Yasuhara gamma4 >= 2, as in the obstruct report
+    assert doc["bounds"] == {"g4": [1, 1], "gamma4": [2, 2], "g3": [1, 1], "gamma3": [2, None]}
 
 
 def test_invariants_from_matrix_file(tmp_path, capsys):
@@ -173,6 +175,7 @@ def test_invariants_polynomial_only_record(capsys):
     code, out, _ = run(capsys, "invariants", "6_1")
     assert code == 0
     assert "determinant: 9" in out and "fox-milnor: passes" in out
+    assert "g4: [0, 0]   g3: [1, 1]\ngamma4: [1, 1]   gamma3: unknown\n" in out
     code, _, err = run(capsys, "invariants", "6_1", "--omega", "1/2")
     assert code == 2 and "Levine-Tristram" in err
 
@@ -202,6 +205,58 @@ def test_invariants_malformed_matrix_file(tmp_path, capsys):
     assert "unimodular" in err or "V - V^T" in err
 
 
+def test_invariants_and_obstruct_report_equal_bounds(tmp_path, capsys):
+    # one rule engine decides genus bounds: invariants prints the obstruct report's, on
+    # every corpus record that invariants reads (one with a matrix or Delta); one
+    # obstruct --all gives each record's single report
+    store = knotdb.KnotStore()
+    for record in golden_corpus():
+        if record.seifert_matrix is not None or record.alexander is not None:
+            store.add(record)
+    path = str(tmp_path / "corpus.json")
+    knotdb.save(store, path)
+    code, out, _ = run(capsys, "obstruct", "--all", "--json", "--store", path)
+    assert code == 0
+    reported = {r["name"]: r["bounds"] for r in json.loads(out)["reports"]}
+    assert sorted(reported) == store.names()
+    for name in store.names():
+        code, out, err = run(capsys, "invariants", name, "--json", "--store", path)
+        assert code == 0, (name, err)
+        assert json.loads(out)["bounds"] == reported[name], name
+
+
+def test_invariants_and_obstruct_refuse_contradicting_bounds_alike(tmp_path, capsys):
+    # 3_1's matrix has |sigma|/2 = 1 <= g4, against a stored g4 = [0, 0]
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(_store_with(seifert_matrix={"n": 2, "entries": [[-1, 1], [0, -1]]},
+                                           invariants={"g4": [0, 0]})), encoding="utf-8")
+    line = ("error: g4: lower bound 1 from rule 'signature-bound' exceeds upper bound 0 "
+            "from rule 'stored-bounds'\n")
+    for command in ("invariants", "obstruct"):
+        assert run(capsys, command, "k", "--store", str(path)) == (2, "", line), command
+
+
+def test_invariants_factors_delta_once(tmp_path, capsys, monkeypatch):
+    # K # -K = V (+) -V^T has det(V + V^T)^2, an odd square, so Fox-Milnor factors its
+    # Delta; invariants builds the record's facts once, for its lines and its bounds
+    n = 4
+    entries = make_valid_seifert(random.Random(7), n)
+    mirror = [[-x for x in c] for c in zip(*entries)]
+    both = [r + [0] * n for r in entries] + [[0] * n + r for r in mirror]
+    path = tmp_path / "k_mk.json"
+    path.write_text(json.dumps({"n": 2 * n, "entries": both}), encoding="utf-8")
+    calls = []
+
+    def counted(q, _factor=laurent.factor):
+        calls.append(q)
+        return _factor(q)
+
+    monkeypatch.setattr(laurent, "factor", counted)
+    code, out, _ = run(capsys, "invariants", "--matrix-file", str(path), "--json")
+    assert code == 0 and json.loads(out)["fox_milnor"]["passes"]
+    assert len(calls) == 1
+
+
 def test_euler_range_cli(capsys):
     code, out, _ = run(capsys, "euler-range", "--upsilon", "0", "--q", "1", "--json")
     assert code == 0
@@ -217,6 +272,22 @@ def test_cobordism_cli(capsys):
     code, _, _ = run(capsys, "cobordism", "--from-upsilon", "1", "--to-upsilon", "0",
                      "--euler", "0", "--fail-on-obstruction")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, text, doc", [
+    (["--from-upsilon", "0", "--to-upsilon=-1/2", "--euler", "-2"],
+     "|v(K0) - v(K1) + e/4| = 0 vs b1/2 = 1/2\ncobordism data consistent\n",
+     {"upsilon_start": "0", "upsilon_end": "-1/2", "euler": -2, "betti": 1, "lhs": "0",
+      "bound": "1/2", "consistent": True}),
+    (["--from-upsilon", "1/3", "--to-upsilon=-2/7", "--euler", "5", "--betti", "3"],
+     "|v(K0) - v(K1) + e/4| = 157/84 vs b1/2 = 3/2\n"
+     "cobordism data OBSTRUCTED: no such surface\n",
+     {"upsilon_start": "1/3", "upsilon_end": "-2/7", "euler": 5, "betti": 3, "lhs": "157/84",
+      "bound": "3/2", "consistent": False}),
+], ids=["consistent", "obstructed"])
+def test_cobordism_output_is_pinned(capsys, argv, text, doc):
+    assert run(capsys, "cobordism", *argv) == (0, text, "")
+    assert run(capsys, "cobordism", *argv, "--json") == (0, json.dumps(doc, indent=2) + "\n", "")
 
 
 def test_cable_bounds_cli(capsys):

@@ -11,7 +11,7 @@ from slicegate.bounds import Interval
 from slicegate.knotdb import KnotRecord, seed_table, whitehead_double_record
 from slicegate.laurent import LaurentPoly, fox_milnor
 from slicegate.obstruct import InconsistentBoundsError, aggregate, record_facts, yasuhara
-from slicegate.seifert import SeifertMatrix, alexander, determinant
+from slicegate.seifert import SeifertMatrix, alexander, determinant, signature
 from slicegate.whitehead import CompanionInvariants, WhiteheadParams, gamma4_whitehead
 from slicegate import obstruct as obstruct_mod
 
@@ -92,6 +92,22 @@ def test_aggregate_inconsistent_inputs_raise():
         aggregate(record)
     msg = str(err.value)
     assert "fox-milnor" in msg and "stored-bounds" in msg
+
+
+def test_matrix_bounds_lie_inside_the_genus_formula():
+    # oracle: the bounds one n x n matrix gives by formula, g4 in [|sigma|/2, n/2],
+    # gamma4 in [1, n + 1] (the surface plus a crosscap) and g3 in [0, n/2]; the rule
+    # engine may only be tighter
+    rng = random.Random(21)
+    for n in range(2, 13, 2):
+        for _ in range(10):
+            v = SeifertMatrix(make_valid_seifert(rng, n))
+            bounds = aggregate(KnotRecord(name="k", seifert_matrix=v).validate()).bounds
+            formula = {"g4": (abs(signature(v)) // 2, n // 2), "gamma4": (1, n + 1),
+                       "g3": (0, n // 2)}
+            for q, (lo, hi) in formula.items():
+                iv = getattr(bounds, q)
+                assert lo <= iv.lo and iv.hi is not None and iv.hi <= hi, (n, q, iv)
 
 
 def test_aggregate_monotone_under_added_information():

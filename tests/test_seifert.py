@@ -1,4 +1,4 @@
-"""Seifert matrix invariants: signature, Alexander, Arf, Levine-Tristram, bounds."""
+"""Seifert matrix invariants: signature, Alexander, Arf, Levine-Tristram."""
 
 import copy
 import json
@@ -8,16 +8,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (alexander_full, arf_gf2, float_levine_tristram, float_signature,
-                      make_invalid_seifert, make_valid_seifert)
+from conftest import (_poly_eval, alexander_full, arf_gf2, float_levine_tristram,
+                      float_signature, make_invalid_seifert, make_valid_seifert)
 
-from slicegate.bounds import Interval
 from slicegate.cli import main
 from slicegate.laurent import InvalidAlexanderError, LaurentPoly, normalize
 from slicegate import seifert as _seifert
 from slicegate.seifert import (NotASeifertMatrixError, SeifertMatrix, alexander, arf,
-                               arf_murasugi, determinant, genus_bounds_from_matrix,
-                               levine_tristram, signature)
+                               arf_murasugi, determinant, levine_tristram,
+                               signature)
 
 V_TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 V_FIG8 = SeifertMatrix([[1, 1], [0, -1]])
@@ -233,7 +232,7 @@ def test_hermitian_kernel_against_numpy():
 def test_sign_changes_on_integers_match_the_fraction_values():
     # den^deg * p(num/den) has the sign of p(x); and E = chain[0] has no root at 0 or
     # at a rational square, which _arc_point relies on
-    from slicegate.laurent import _poly_eval, _sturm_chain
+    from slicegate.laurent import _sturm_chain
 
     rng = random.Random(31)
     for n in (2, 4, 8, 12, 20):
@@ -847,14 +846,6 @@ def test_levine_tristram_rejects_omega_one():
         levine_tristram(V_FIG8, Fraction(0))
     with pytest.raises(ValueError):
         levine_tristram(V_FIG8, "2/2")
-
-
-def test_genus_bounds_from_matrix():
-    gb = genus_bounds_from_matrix(V_TREFOIL)
-    assert gb.g4 == Interval(1, 1)
-    assert gb.gamma4 == Interval(1, 3)
-    assert genus_bounds_from_matrix(UNKNOT).g4 == Interval(0, 0)
-    assert genus_bounds_from_matrix(V_FIG8).g4 == Interval(0, 1)
 
 
 def test_levine_tristram_builds_one_sturm_chain_per_matrix(monkeypatch):
