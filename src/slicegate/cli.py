@@ -14,14 +14,9 @@ import json
 import os
 import sys
 
-from . import knotdb, plfunc
-from . import seifert as _seifert
-from . import whitehead as _wh
-from .knotdb import KnotRecord, KnotStore, UnknownKnotError
-from .obstruct import ObstructionReport, _aggregate_facts, aggregate, record_facts
+# each command imports the rest of what it runs: `cobordism` needs plfunc alone
+from . import plfunc
 from .plfunc import CobordismCheck, PLFunction
-from .seifert import SeifertMatrix
-from .whitehead import WhiteheadParams
 
 STORE_ENV = "SLICEGATE_STORE"
 
@@ -41,37 +36,29 @@ def _check_selectors(args) -> None:
         raise ValueError(f"{', '.join(given[:-1])} and {given[-1]} conflict; give only one")
 
 
-def _load_store(args) -> KnotStore | None:
-    """The named store file, or the seed knots when none is named.
+def _load_store(args) -> KnotStore:
+    """The named store file, or the seed knots when none is named or `import` creates it.
 
-    A named file that does not exist is an input error, except for
-    `import`, which creates it.  A command that reads only --matrix-file
-    gets None when no store is named: it looks nothing up.
+    Only a command that reads a record calls this, so no other command
+    parses the store or builds the seed table.
     """
+    from . import knotdb
     path = args.store or os.environ.get(STORE_ENV)
-    if path and os.path.exists(path):
-        return knotdb.load(path)
-    if path and args.fn is not _cmd_import:
-        raise ValueError(f"store file {path} does not exist")
+    return knotdb.load(path) if path and os.path.exists(path) else knotdb.seed_table()
+
+
+def _record_for(args) -> KnotRecord:
+    from .knotdb import KnotRecord
+    from .seifert import SeifertMatrix
     if getattr(args, "matrix_file", None):
-        return None
-    return knotdb.seed_table()
-
-
-def _matrix_from_file(path) -> SeifertMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return SeifertMatrix.from_json(json.load(fh))
-
-
-def _record_for(args, store: KnotStore) -> KnotRecord:
-    if getattr(args, "matrix_file", None):
+        with open(args.matrix_file, encoding="utf-8") as fh:
+            matrix = SeifertMatrix.from_json(json.load(fh))
         name = os.path.splitext(os.path.basename(args.matrix_file))[0]
-        rec = KnotRecord(name=name, seifert_matrix=_matrix_from_file(args.matrix_file),
-                         provenance={"seifert_matrix": "table"})
+        rec = KnotRecord(name=name, seifert_matrix=matrix, provenance={"seifert_matrix": "table"})
         return rec.validate()
     if not args.name:
         raise ValueError("give a knot name or --matrix-file")
-    return store.lookup(args.name)
+    return _load_store(args).lookup(args.name)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -123,8 +110,10 @@ def _exit_for(args, obstructed: bool) -> int:
 # subcommands
 
 
-def _cmd_invariants(args, store) -> int:
-    record = _record_for(args, store)
+def _cmd_invariants(args) -> int:
+    from . import seifert as _seifert
+    from .obstruct import _aggregate_facts, record_facts
+    record = _record_for(args)
     facts = record_facts(record)
     v, sigma, fm = record.seifert_matrix, facts.sigma, facts.fm
     delta = facts.delta if v is None else _seifert.alexander(v)  # facts skip a Delta no rule reads
@@ -169,13 +158,17 @@ def _cmd_invariants(args, store) -> int:
     return 0
 
 
-def _cmd_whitehead(args, store) -> int:
+def _cmd_whitehead(args) -> int:
+    from . import knotdb, seifert as _seifert
+    from .obstruct import aggregate
+    from .whitehead import WhiteheadParams, cable_target
+    store = _load_store(args)
     params = WhiteheadParams(clasp=args.clasp, twist=args.twist,
                              framing=args.framing, companion=args.companion)
     companion = store.lookup(args.companion)
     record = knotdb.whitehead_double_record(params, companion)
     report = aggregate(record)
-    q = _wh.cable_target(params)
+    q = cable_target(params)
     inv, v = record.invariants, record.seifert_matrix
     delta, sigma, arf_val = _seifert.alexander(v), _seifert.signature(v), _seifert.arf(v)
     payload = {
@@ -212,8 +205,10 @@ def _cmd_whitehead(args, store) -> int:
     return _exit_for(args, _verdict_obstructed(report))
 
 
-def _cmd_obstruct(args, store) -> int:
+def _cmd_obstruct(args) -> int:
+    from .obstruct import aggregate
     if args.all:
+        store = _load_store(args)
         reports = [aggregate(store.lookup(n)) for n in store.names()]
         payload = {"reports": [r.to_json() for r in reports]}
         lines = []
@@ -222,28 +217,28 @@ def _cmd_obstruct(args, store) -> int:
             lines.append("")
         _emit(args, payload, lines[:-1] if lines else [])
         return _exit_for(args, any(_verdict_obstructed(r) for r in reports))
-    record = _record_for(args, store)
+    record = _record_for(args)
     report = aggregate(record)
     _emit(args, report.to_json(), _report_lines(report))
     return _exit_for(args, _verdict_obstructed(report))
 
 
-def _upsilon_source(args, store) -> PLFunction:
+def _upsilon_source(args) -> PLFunction:
     if args.zero:
         return PLFunction.zero()
     if args.upsilon_file:
         with open(args.upsilon_file, encoding="utf-8") as fh:
             return PLFunction.from_json(json.load(fh))
     if args.upsilon_of:
-        rec = store.lookup(args.upsilon_of)
+        rec = _load_store(args).lookup(args.upsilon_of)
         if rec.invariants.upsilon is None:
             raise ValueError(f"record {args.upsilon_of!r} stores no Upsilon function")
         return rec.invariants.upsilon
     raise ValueError("give --upsilon-of NAME, --upsilon-file FILE, or --zero")
 
 
-def _cmd_cable_bounds(args, store) -> int:
-    f = _upsilon_source(args, store)
+def _cmd_cable_bounds(args) -> int:
+    f = _upsilon_source(args)
     lower, upper = plfunc.cable_sandwich(f, args.p, args.q)
     payload = {
         "p": args.p,
@@ -264,7 +259,7 @@ def _cmd_cable_bounds(args, store) -> int:
     return 0
 
 
-def _cmd_cobordism(args, store) -> int:
+def _cmd_cobordism(args) -> int:
     check = CobordismCheck(
         upsilon_start=args.from_upsilon,
         upsilon_end=args.to_upsilon,
@@ -289,7 +284,7 @@ def _cmd_cobordism(args, store) -> int:
     return _exit_for(args, not ok)
 
 
-def _cmd_euler_range(args, store) -> int:
+def _cmd_euler_range(args) -> int:
     lo, hi = plfunc.euler_number_range(args.upsilon, args.q)
     payload = {"upsilon": args.upsilon, "q": args.q, "euler_range": [lo, hi]}
     lines = [f"normal Euler numbers e(F) compatible with upsilon = {args.upsilon}, "
@@ -298,7 +293,9 @@ def _cmd_euler_range(args, store) -> int:
     return 0
 
 
-def _cmd_import(args, store) -> int:
+def _cmd_import(args) -> int:
+    from . import knotdb
+    store = _load_store(args)
     mapping = {}
     for item in args.map:
         if "=" not in item:
@@ -319,8 +316,8 @@ def _cmd_import(args, store) -> int:
     return 0
 
 
-def _cmd_show(args, store) -> int:
-    record = store.lookup(args.name)
+def _cmd_show(args) -> int:
+    record = _load_store(args).lookup(args.name)
     payload = record.to_json()
     inv = record.invariants
     lines = [f"knot: {record.name}"]
@@ -433,13 +430,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _lookup_errors() -> tuple:
+    # evaluated only when an exception reaches main's handler: UnknownKnotError is
+    # caught, not every KeyError, and only a lookup, which loads knotdb, raises it
+    knotdb = sys.modules.get(f"{__package__}.knotdb")
+    return (knotdb.UnknownKnotError,) if knotdb else ()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_selectors(args)
-        store = _load_store(args)
-        return args.fn(args, store)
-    except (ValueError, UnknownKnotError, OSError) as exc:
+        # a named store must exist, though only a command that reads a record loads it
+        path = args.store or os.environ.get(STORE_ENV)
+        if path and not os.path.exists(path) and args.fn is not _cmd_import:
+            raise ValueError(f"store file {path} does not exist")
+        return args.fn(args)
+    except (ValueError, OSError, *_lookup_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ errors surface immediately instead of corrupting downstream reports.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 
@@ -301,6 +300,7 @@ def ingest_csv(store: KnotStore, path, column_mapping: dict[str, str]):
     value contradicting a computed one raises InconsistentRecordError.
     Returns (added record names, diagnostics).
     """
+    import csv
     unknown = set(column_mapping) - {"name", *_CELL_PARSERS}
     if unknown:
         raise ValueError(f"unknown fields in column mapping: {sorted(unknown)}")
@@ -398,7 +398,7 @@ def load(path) -> KnotStore:
     version = doc.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported store format_version {version!r}")
-    records = doc.get("records", [])
+    records = doc.get("records")
     if not isinstance(records, list):
         raise ValueError("store 'records' must be a JSON list")
     store = KnotStore()

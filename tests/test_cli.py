@@ -434,6 +434,7 @@ def _store_with(**fields):
 @pytest.mark.parametrize("document", [
     [],
     {"format_version": 1, "records": {"a": 1}},
+    {"format_version": 1},
     {"format_version": 1, "records": [5]},
     {"format_version": 1, "records": [{"sigma": 0}]},
     _store_with(alexander=5),
@@ -452,12 +453,13 @@ def _store_with(**fields):
     _store_with(invariants={"upsilon": []}, sigma=0),
     _store_with(invariants={"tau": 1, "epsilon": 0}),
     _store_with(invariants={"upsilon": {"breakpoints": [[0, 0], ["1.5", "-1"], [2, 0]]}}),
-], ids=["document-not-object", "records-not-list", "record-not-object", "record-without-name",
-        "alexander-not-terms", "alexander-null-coefficient", "invariants-not-object",
-        "sigma-not-integer", "upsilon-breakpoint-exponent", "matrix-string-entries",
-        "alexander-bool-coefficient", "genus-string-bound", "format-version-bool",
-        "matrix-false", "invariants-false", "provenance-zero", "upsilon-zero",
-        "upsilon-empty-list", "epsilon-zero-tau-nonzero", "upsilon-string-coordinate"])
+], ids=["document-not-object", "records-not-list", "records-missing", "record-not-object",
+        "record-without-name", "alexander-not-terms", "alexander-null-coefficient",
+        "invariants-not-object", "sigma-not-integer", "upsilon-breakpoint-exponent",
+        "matrix-string-entries", "alexander-bool-coefficient", "genus-string-bound",
+        "format-version-bool", "matrix-false", "invariants-false", "provenance-zero",
+        "upsilon-zero", "upsilon-empty-list", "epsilon-zero-tau-nonzero",
+        "upsilon-string-coordinate"])
 def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
     path = tmp_path / "store.json"
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -636,7 +638,7 @@ def test_matrix_file_alone_builds_no_seed_table(tmp_path, capsys, monkeypatch):
         assert code == 0 and json.loads(out)["name"] == "m"
     assert built == []
 
-    # a named store is still read, so a missing one is still an input error
+    # a named store must still exist, though these commands do not read it
     missing = tmp_path / "missing.json"
     code, out, err = run(capsys, "invariants", "--matrix-file", str(path), "--store", str(missing))
     assert (code, out, err) == (2, "", f"error: store file {missing} does not exist\n")
@@ -648,6 +650,96 @@ def test_matrix_file_alone_builds_no_seed_table(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SLICEGATE_STORE")
     code, _, _ = run(capsys, "invariants", "4_1")
     assert code == 0 and built == [1]
+
+
+# each subcommand with its arguments, and whether it reads a record from the store;
+# {dir} is a directory holding m.json (a Seifert matrix), u.json (a PL function) and
+# t.csv (a one-row table)
+COMMANDS = {
+    "invariants-name": (["invariants", "4_1"], True),
+    "invariants-matrix-file": (["invariants", "--matrix-file", "{dir}/m.json"], False),
+    "whitehead": (["whitehead", "--clasp", "+", "--twist", "3", "--companion", "unknot"], True),
+    "obstruct-name": (["obstruct", "4_1"], True),
+    "obstruct-all": (["obstruct", "--all"], True),
+    "obstruct-matrix-file": (["obstruct", "--matrix-file", "{dir}/m.json"], False),
+    "cable-bounds-zero": (["cable-bounds", "--p", "2", "--q", "1", "--zero"], False),
+    "cable-bounds-upsilon-file": (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-file",
+                                   "{dir}/u.json"], False),
+    "cable-bounds-upsilon-of": (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-of", "3_1"],
+                                True),
+    "cobordism": (["cobordism", "--from-upsilon", "0", "--to-upsilon=-1/2", "--euler", "-2"],
+                  False),
+    "euler-range": (["euler-range", "--upsilon", "0", "--q", "1"], False),
+    "import": (["import", "--csv", "{dir}/t.csv", "--map", "name=knot", "--map",
+                "seifert=matrix"], True),
+    "show": (["show", "3_1"], True),
+}
+
+
+def _command(tmp_path, label):
+    (tmp_path / "m.json").write_text(json.dumps(TREFOIL), encoding="utf-8")
+    (tmp_path / "u.json").write_text(json.dumps({"breakpoints": [[0, 0], [1, -1], [2, 0]]}),
+                                     encoding="utf-8")
+    (tmp_path / "t.csv").write_text('knot,matrix\nk2,"[[-1,1],[0,2]]"\n', encoding="utf-8")
+    argv, reads_record = COMMANDS[label]
+    return [a.format(dir=tmp_path) for a in argv], reads_record
+
+
+@pytest.mark.parametrize("label", sorted(COMMANDS))
+def test_store_is_read_only_by_a_command_that_reads_a_record(tmp_path, capsys, monkeypatch,
+                                                             label):
+    monkeypatch.delenv("SLICEGATE_STORE", raising=False)
+    argv, reads_record = _command(tmp_path, label)
+    missing = tmp_path / "missing.json"
+    if label != "import":  # import creates a missing store
+        assert run(capsys, *argv, "--store", str(missing)) == (
+            2, "", f"error: store file {missing} does not exist\n")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"format_version": 1, "records": [5]}), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--store", str(malformed))
+    if reads_record:
+        assert (code, out, err) == (
+            2, "", "error: a store record is a JSON object with a string 'name', got 5\n")
+    else:  # the store is never parsed, so the command runs as with no store named
+        assert (code, out, err) == run(capsys, *argv)
+        assert code == 0
+
+
+def _modules_loaded_by(*argv):
+    """The slicegate modules a fresh process has loaded after one main(argv) call."""
+    script = """if True:
+        import json, sys
+        from slicegate import cli
+        assert cli.main(sys.argv[1:]) == 0
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("slicegate."))))
+    """
+    proc = run_python("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["cobordism", "--from-upsilon", "0", "--to-upsilon=-1/2", "--euler", "-2"],
+    ["euler-range", "--upsilon", "0", "--q", "1"],
+    ["cable-bounds", "--p", "2", "--q", "1", "--zero"],
+], ids=["cobordism", "euler-range", "cable-bounds-zero"])
+@pytest.mark.parametrize("named_store", [False, True], ids=["seeds", "store"])
+def test_pl_arithmetic_commands_load_no_seifert_alexander_or_rule_code(tmp_path, argv,
+                                                                        named_store):
+    if named_store:
+        knotdb.save(knotdb.seed_table(), tmp_path / "store.json")
+        argv = [*argv, "--store", str(tmp_path / "store.json")]
+    assert _modules_loaded_by(*argv) == {"slicegate._record", "slicegate.cli",
+                                         "slicegate.plfunc"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "3_1"],
+    ["cable-bounds", "--p", "2", "--q", "3", "--upsilon-of", "3_1"],
+], ids=["show", "cable-bounds-upsilon-of"])
+def test_record_readers_that_run_no_rule_load_no_rule_engine(argv):
+    loaded = _modules_loaded_by(*argv)
+    assert "slicegate.knotdb" in loaded and "slicegate.obstruct" not in loaded
 
 
 def test_closed_stdout_ends_quietly_with_the_commands_exit_code(tmp_path):

@@ -94,7 +94,8 @@ def test_value_class_equality_and_dedup():
 def test_cli_process_imports_no_dataclasses_inspect_or_typing():
     """dataclasses loads inspect, ast and dis: ~15 ms of every CLI process's start; typing ~4 ms."""
     env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
-    code = ("import sys, slicegate.cli; "
+    # the CLI imports the rule engine per command, so import every module here
+    code = ("import sys, slicegate.cli, slicegate.knotdb, slicegate.obstruct; "
             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     # -S keeps site's own imports out of sys.modules
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
