@@ -26,9 +26,10 @@ class Interval:
             return cls(obj, obj)
         try:
             lo, hi = obj
-            return cls(_wire_int(lo), None if hi is None else _wire_int(hi))
-        except TypeError:
+            lo, hi = _wire_int(lo), None if hi is None else _wire_int(hi)
+        except (TypeError, ValueError):  # ValueError: obj does not unpack into two items
             raise ValueError(f"an interval is an integer or [lo, hi], got {obj!r}") from None
+        return cls(lo, hi)
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]" if self.hi is not None else f"[{self.lo}, inf)"

@@ -109,9 +109,11 @@ class KnotRecord:
         if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
             raise ValueError(f"a store record is a JSON object with a string 'name', "
                              f"got {obj!r}")
+        if not obj["name"]:
+            raise ValueError("record '': a store record's name must not be empty")
         provenance = {} if obj.get("provenance") is None else obj["provenance"]
-        if not isinstance(provenance, dict):
-            raise ValueError(f"record {obj['name']!r}: provenance must be a JSON object")
+        if not isinstance(provenance, dict) or not all(type(t) is str for t in provenance.values()):
+            raise ValueError(f"record {obj['name']!r}: provenance must map fields to strings")
         return cls(
             name=obj["name"],
             seifert_matrix=(SeifertMatrix.from_json(obj["seifert_matrix"])
@@ -361,20 +363,23 @@ def ingest_csv(store: KnotStore, path, column_mapping: dict[str, str]):
 
 
 def save(store: KnotStore, path) -> None:
-    """Write the store as one JSON document (deterministic byte output).
+    """Write the store as one JSON document, one record per line (deterministic byte output).
 
+    Each record is one json.dumps call with the default separators, which
+    runs the stdlib's C encoder (json.dump and indent= do not), and records
+    are written one at a time, so the whole document is never one string.
     The document goes to a temporary file beside the target, which then
     replaces the target in one step, so a failed write leaves the old store.
     """
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "records": [r.to_json() for r in store.records()],
-    }
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(f'{{"format_version": {FORMAT_VERSION}, "records": [')
+            sep = "\n"
+            for record in store.records():
+                fh.write(sep + json.dumps(record.to_json()))
+                sep = ",\n"
+            fh.write("]}\n" if sep == "\n" else "\n]}\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

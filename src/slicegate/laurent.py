@@ -27,6 +27,8 @@ class InvalidAlexanderError(ValueError):
 
 def _wire_int(x) -> int:
     """x as an int for decoders: a bool, float or string is a TypeError, not rounded or parsed."""
+    if type(x) is int:
+        return x
     return operator.index(None if isinstance(x, bool) else x)
 
 
@@ -80,7 +82,7 @@ class LaurentPoly:
         last = None
         try:
             for item in terms:
-                c, e = (_wire_int(x) for x in item)
+                c, e = map(_wire_int, item)
                 if last is not None and e <= last:
                     raise ValueError("term exponents must be strictly increasing")
                 last = e
@@ -90,7 +92,9 @@ class LaurentPoly:
         except TypeError:
             raise ValueError(f"terms are [[coeff, exponent], ...] integer pairs, got {terms!r}"
                              ) from None
-        return cls(coeffs)
+        poly = cls.__new__(cls)  # coeffs is already canonical, so skip __init__'s second check
+        poly._coeffs = coeffs
+        return poly
 
     def to_terms(self) -> list[list[int]]:
         """Sparse term list [[coeff, exponent], ...] with exponents increasing."""

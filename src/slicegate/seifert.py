@@ -44,7 +44,7 @@ class SeifertMatrix:
 
     def __init__(self, entries):
         try:
-            rows = tuple(tuple(_wire_int(x) for x in row) for row in entries)
+            rows = tuple(tuple(map(_wire_int, row)) for row in entries)
         except TypeError:
             raise NotASeifertMatrixError("entries must be rows of integers") from None
         n = len(rows)

@@ -431,6 +431,16 @@ def _store_with(**fields):
     return {"format_version": 1, "records": [{"name": "k", **fields}]}
 
 
+# the error lines that a case pins exactly
+_MALFORMED_STORE_ERROR = {
+    "genus-three-items": "error: an interval is an integer or [lo, hi], got [1, 2, 3]",
+    "genus-empty-list": "error: an interval is an integer or [lo, hi], got []",
+    "genus-string": "error: an interval is an integer or [lo, hi], got 'x'",
+    "provenance-integer-tag": "error: record 'k': provenance must map fields to strings",
+    "record-empty-name": "error: record '': a store record's name must not be empty",
+}
+
+
 @pytest.mark.parametrize("document", [
     [],
     {"format_version": 1, "records": {"a": 1}},
@@ -453,14 +463,20 @@ def _store_with(**fields):
     _store_with(invariants={"upsilon": []}, sigma=0),
     _store_with(invariants={"tau": 1, "epsilon": 0}),
     _store_with(invariants={"upsilon": {"breakpoints": [[0, 0], ["1.5", "-1"], [2, 0]]}}),
+    _store_with(invariants={"g4": [1, 2, 3]}),
+    _store_with(invariants={"g4": []}),
+    _store_with(invariants={"g4": "x"}),
+    _store_with(provenance={"sigma": 5}),
+    {"format_version": 1, "records": [{"name": ""}]},
 ], ids=["document-not-object", "records-not-list", "records-missing", "record-not-object",
         "record-without-name", "alexander-not-terms", "alexander-null-coefficient",
         "invariants-not-object", "sigma-not-integer", "upsilon-breakpoint-exponent",
         "matrix-string-entries", "alexander-bool-coefficient", "genus-string-bound",
         "format-version-bool", "matrix-false", "invariants-false", "provenance-zero",
         "upsilon-zero", "upsilon-empty-list", "epsilon-zero-tau-nonzero",
-        "upsilon-string-coordinate"])
-def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
+        "upsilon-string-coordinate", "genus-three-items", "genus-empty-list",
+        "genus-string", "provenance-integer-tag", "record-empty-name"])
+def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document, request):
     path = tmp_path / "store.json"
     path.write_text(json.dumps(document), encoding="utf-8")
     proc = run_python("-m", "slicegate.cli", "obstruct", "--all", "--store", str(path))
@@ -468,6 +484,7 @@ def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert lines[0] == _MALFORMED_STORE_ERROR.get(request.node.callspec.id, lines[0])
 
 
 def test_matrix_record_reports_the_matrix_delta_not_a_stored_unit_multiple(tmp_path, capsys):

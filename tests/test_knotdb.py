@@ -232,18 +232,54 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_save_failure_keeps_the_old_store(tmp_path, monkeypatch):
     path = tmp_path / "store.json"
-    save(seed_table(), path)
+    save(KnotStore(), path)
     before = path.read_bytes()
+    encode = json.dumps
 
-    def failing_dump(doc, fh, **kwargs):
-        fh.write('{"format_version": ')
-        raise OSError("no space left on device")
+    def failing_dumps(obj, **kwargs):
+        if obj["name"] == "4_1":  # the header and the record of 3_1 are already written
+            raise OSError("no space left on device")
+        return encode(obj, **kwargs)
 
-    monkeypatch.setattr(json, "dump", failing_dump)
-    with pytest.raises(OSError):
-        save(KnotStore(), path)
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["store.json"]
+    def failing_replace(src, dst):
+        raise OSError("permission denied")
+
+    for module, name, failing in ((json, "dumps", failing_dumps),
+                                  (os, "replace", failing_replace)):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, failing)
+            with pytest.raises(OSError):
+                save(seed_table(), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["store.json"]
+
+
+def test_save_writes_one_record_per_line(tmp_path):
+    path = tmp_path / "store.json"
+    save(KnotStore(), path)
+    assert path.read_text(encoding="utf-8") == '{"format_version": 1, "records": []}\n'
+    store = seed_table()
+    save(store, path)
+    head, *lines, tail, end = path.read_text(encoding="utf-8").split("\n")
+    assert (head, tail, end) == ('{"format_version": 1, "records": [', "]}", "")
+    assert [line.endswith(",") for line in lines] == [True] * (len(store) - 1) + [False]
+    assert [json.loads(line.rstrip(",")) for line in lines] == [r.to_json()
+                                                                for r in store.records()]
+
+
+def test_an_indented_store_loads_and_is_resaved_one_record_per_line(tmp_path):
+    # stores used to be written with json.dump(doc, fh, indent=2)
+    store = seed_table()
+    store.add(whitehead_double_record(WhiteheadParams("-", 2, 0, "3_1"), store.lookup("3_1")))
+    indented, saved = tmp_path / "indented.json", tmp_path / "saved.json"
+    with open(indented, "w", encoding="utf-8") as fh:
+        json.dump({"format_version": 1, "records": [r.to_json() for r in store.records()]},
+                  fh, indent=2)
+        fh.write("\n")
+    save(store, saved)
+    assert load(indented) == load(saved) == store
+    save(load(indented), indented)
+    assert indented.read_bytes() == saved.read_bytes()
 
 
 def test_save_load_empty_store(tmp_path):

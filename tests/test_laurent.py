@@ -8,6 +8,8 @@ from functools import reduce
 
 import pytest
 from conftest import factor_kronecker
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slicegate.laurent import (InvalidAlexanderError, LaurentPoly, _poly_mul, factor, fox_milnor,
                                normalize)
@@ -84,10 +86,24 @@ def test_from_terms_takes_only_integers():
             LaurentPoly.from_terms(terms)
 
 
+def test_from_terms_rejects_zero_coefficients_and_unordered_exponents():
+    for terms in ([[0, 1]], [[1, 0], [0, 1]], [[1, 1], [2, 0]], [[1, 0], [2, 0]]):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_terms(terms)
+
+
 def test_constructor_takes_only_integers():
-    for coeffs in ({0: 1.5}, {0.7: 1}, {"1": "2"}):
+    for coeffs in ({0: 1.5}, {0.7: 1}, {"1": "2"}, {0: True}, {False: 1}):
         with pytest.raises(TypeError):
             T(coeffs)
+
+
+@given(st.dictionaries(st.integers(-40, 40), st.integers(-10**30, 10**30).filter(bool)))
+def test_from_terms_inverts_to_terms(coeffs):
+    p = T(coeffs)
+    q = LaurentPoly.from_terms(p.to_terms())
+    assert q == p and q._coeffs == p._coeffs == coeffs
+    assert all(type(x) is int for item in q._coeffs.items() for x in item)
 
 
 def test_dense():
