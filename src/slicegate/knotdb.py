@@ -16,7 +16,7 @@ from . import seifert as _seifert
 from . import whitehead as _wh
 from ._record import default_factory, value_class
 from .bounds import GENUS_FLOOR, Interval
-from .laurent import InvalidAlexanderError, LaurentPoly, _wire_int, check_alexander, normalize
+from .laurent import InvalidAlexanderError, LaurentPoly, _wire_int, check_alexander
 from .plfunc import PLFunction
 from .seifert import SeifertMatrix
 from .whitehead import CompanionInvariants, InvariantClashError, WhiteheadParams
@@ -57,8 +57,8 @@ class KnotRecord:
         A stored Alexander polynomial must be one (Delta(1) = +/-1, symmetric
         up to +/-t^k), a stored Arf must agree with Murasugi's reading of it
         (Arf = 0 iff Delta(-1) = +/-1 mod 8), and stored sigma, Arf and Delta
-        must agree with the Seifert matrix; a mismatch raises
-        InconsistentRecordError.
+        must agree with the Seifert matrix (Delta by seifert.is_alexander_of's
+        one determinant); a mismatch raises InconsistentRecordError.
         """
         for label, value in (("sigma", self.sigma), ("arf", self.arf)):
             if value is not None and type(value) is not int:
@@ -80,11 +80,9 @@ class KnotRecord:
             computed = _seifert.arf_murasugi(delta) if delta is not None else _seifert.arf(v)
             if self.arf != computed:
                 bad.append(f"arf: stored {self.arf}, computed {computed}")
-        if v is not None and delta is not None:
-            computed = _seifert.alexander(v)
-            if normalize(delta)[0] != normalize(computed)[0]:
-                bad.append(f"alexander: stored {delta} differs from "
-                           f"det(V - tV^T) = {computed} up to units")
+        if v is not None and delta is not None and not _seifert.is_alexander_of(v, delta):
+            bad.append(f"alexander: stored {delta} differs from "
+                       f"det(V - tV^T) = {_seifert.alexander(v)} up to units")
         if self.arf is not None and self.arf not in (0, 1):
             bad.append(f"arf: {self.arf} is not in {{0, 1}}")
         if self.sigma is not None and self.sigma % 2:
@@ -111,6 +109,14 @@ class KnotRecord:
                              f"got {obj!r}")
         if not obj["name"]:
             raise ValueError("record '': a store record's name must not be empty")
+        inv = {} if obj.get("invariants") is None else obj["invariants"]
+        ups = inv.get("upsilon") if isinstance(inv, dict) else None
+        for at, part, keys in (("", obj, cls._fields),
+                               (" in seifert_matrix", obj.get("seifert_matrix"), ("n", "entries")),
+                               (" in invariants", inv, CompanionInvariants._fields),
+                               (" in upsilon", ups, ("breakpoints",))):
+            if isinstance(part, dict) and (extra := [k for k in part if k not in keys]):
+                raise ValueError(f"record {obj['name']!r}: unknown key {extra[0]!r}{at}")
         provenance = {} if obj.get("provenance") is None else obj["provenance"]
         if not isinstance(provenance, dict) or not all(type(t) is str for t in provenance.values()):
             raise ValueError(f"record {obj['name']!r}: provenance must map fields to strings")
@@ -120,8 +126,7 @@ class KnotRecord:
                             if obj.get("seifert_matrix") is not None else None),
             alexander=(LaurentPoly.from_terms(obj["alexander"])
                        if obj.get("alexander") is not None else None),
-            invariants=CompanionInvariants.from_json(
-                {} if obj.get("invariants") is None else obj["invariants"]),
+            invariants=CompanionInvariants.from_json(inv),
             sigma=obj.get("sigma"),
             arf=obj.get("arf"),
             provenance=dict(provenance),
@@ -393,8 +398,8 @@ def _no_float(text):
 def load(path) -> KnotStore:
     """Read a store written by save().
 
-    Malformed documents, duplicate names and inconsistent records all raise
-    ValueError.
+    Malformed documents, keys that save() does not write, duplicate names and
+    inconsistent records all raise ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh, parse_float=_no_float, parse_constant=_no_float)
@@ -403,6 +408,8 @@ def load(path) -> KnotStore:
     version = doc.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported store format_version {version!r}")
+    if extra := [k for k in doc if k not in ("format_version", "records")]:
+        raise ValueError(f"unknown store key {extra[0]!r}")
     records = doc.get("records")
     if not isinstance(records, list):
         raise ValueError("store 'records' must be a JSON list")

@@ -8,9 +8,9 @@ over the Gaussian integers on the n x n Hermitian form taken on the same arc
 of the unit circle it gives each Levine-Tristram signature of an interior arc.
 det(V - t V^T) comes from the characteristic polynomial of the small integer matrix
 W = (V - V^T)^-1 V, reduced left-looking to Hessenberg form modulo the one
-tabled prime that a Hadamard bound sizes.  The signature with the determinant,
-and the Alexander polynomial, are each computed at most once per matrix, and
-so is the Sturm chain that Levine-Tristram signatures share.
+tabled prime that a Hadamard bound sizes; a given Delta is checked by one determinant
+of V - t0 V^T, t0 past a root bound.  sigma with det(V + V^T), Delta and the Sturm
+chain that Levine-Tristram signatures share are each computed at most once per matrix.
 """
 
 from __future__ import annotations
@@ -257,24 +257,29 @@ def _charpoly_mod(w, p: int) -> list[int]:
     return polys[n]
 
 
+def _hadamard_prime(v: SeifertMatrix) -> tuple[int, int]:
+    """(B, p): B = prod_i (|row_i V| + |col_i V|) bounds each coefficient of det(V - tV^T)
+    (Hadamard on |t| = 1, then Cauchy); p > 2B is the narrowest tabled prime, else ValueError."""
+    rows = v.entries
+    bound = math.prod(math.isqrt(sum(x * x for x in r)) + math.isqrt(sum(x * x for x in c)) + 2
+                      for r, c in zip(rows, zip(*rows)))
+    primes = itertools.chain(_PRIMES, ((1 << e) - 1 for e in _MERSENNE_WIDE))  # lazily
+    if (p := next((p for p in primes if p > 2 * bound), None)) is None:
+        raise ValueError(f"Delta at n = {v.n} needs a prime above 2^{(2 * bound).bit_length()}")
+    return bound, p
+
+
 def alexander(v: SeifertMatrix) -> LaurentPoly:
     """Alexander polynomial det(V - t V^T) in centered symmetric form, computed once per matrix.
 
-    A = V - V^T is skew and unimodular, so det A = 1 and A^-1 is integral.  With
-    W = A^-1 V, D(t) = det(V - tV^T) = det((1 - t)W + tI) = sum c_k t^k (t - 1)^(n-k)
-    for det(xI - W) = sum c_k x^k.  On |t| = 1, B = prod_i (|row_i V| + |col_i V|)
-    bounds |D| (Hadamard) and so each coefficient (Cauchy): one residue pass modulo the
-    narrowest tabled prime above 2B reads D, and past the widest one a ValueError names n.
-    W's residues go to the kernel in (-p/2, p/2], where they are W's own small entries,
-    so its matrix-vector products multiply small integers by residues.
+    A = V - V^T is skew and unimodular, so det A = 1 and A^-1 is integral.  With W = A^-1 V,
+    D(t) = det(V - tV^T) = det((1 - t)W + tI) = sum c_k t^k (t - 1)^(n-k) for det(xI - W) =
+    sum c_k x^k, read in one residue pass modulo _hadamard_prime's p > 2B.  W's residues go
+    to the kernel in (-p/2, p/2], where they are W's own small entries, so its matrix-vector
+    products multiply small integers by residues.
     """
     if v._delta is None:
-        rows, n = v.entries, v.n
-        bound = math.prod(math.isqrt(sum(x * x for x in r)) + math.isqrt(sum(x * x for x in c)) + 2
-                          for r, c in zip(rows, zip(*rows)))
-        primes = itertools.chain(_PRIMES, ((1 << e) - 1 for e in _MERSENNE_WIDE))  # lazily
-        if (p := next((p for p in primes if p > 2 * bound), None)) is None:
-            raise ValueError(f"Delta at n = {n} needs a prime above 2^{(2 * bound).bit_length()}")
+        rows, n, p = v.entries, v.n, _hadamard_prime(v)[1]
         aug = [[x % p for x in (*a, *r)] for a, r in zip(v.pencil(1), rows)]
         for k in range(n):  # Gauss-Jordan on [A | V], dropping each used pivot column
             piv = next(i for i in range(k, n) if aug[i][0])
@@ -289,6 +294,42 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
         v._delta = LaurentPoly({k - n // 2: x - p if 2 * x > p else x for k, x in enumerate(d)})
         assert v._delta.at_pm1(1) == 1, "Delta(1) = det(V - V^T) must be 1"
     return v._delta
+
+
+def _det_int(m) -> int:
+    """Determinant of a square integer matrix by Bareiss's exact fraction-free steps, in place."""
+    sign, prev, n = 1, 1, len(m)
+    for k in range(n - 1):
+        if not m[k][k]:  # swap in a row below, which flips the sign; with none det = 0
+            if (piv := next((i for i in range(k + 1, n) if m[i][k]), None)) is None:
+                return 0
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        p, rk = m[k][k], m[k][k + 1:]
+        for ri in m[k + 1:]:
+            a = ri[k]
+            ri[k + 1:] = [(x * p - a * y) // prev for x, y in zip(ri[k + 1:], rk)]
+        prev = p
+    return sign * m[-1][-1] if n else 1
+
+
+def is_alexander_of(v: SeifertMatrix, delta: LaurentPoly) -> bool:
+    """Whether the nonzero delta is det(V - tV^T) = D(t) up to a unit +/-t^k, decided exactly.
+
+    Delta_c (delta centered, Delta_c(1) = 1) must span at most n = 2h; then D - t^h Delta_c has
+    coefficients at most B + C (B of _hadamard_prime, C of delta), so by Cauchy's root bound it
+    is 0 iff it vanishes at t0 = B + C + 2: one Bareiss determinant decides, and a match memoizes
+    Delta_c.  Its entries grow to n log2(t0) bits, so past n = 14 alexander(v) is cheaper.
+    """
+    cs, h = delta.coeffs, v.n // 2
+    mid, sign = (min(cs) + max(cs)) // 2, 1 if delta.at_pm1(1) > 0 else -1
+    centered = LaurentPoly({e - mid: sign * c for e, c in cs.items()})
+    fits = max(cs) - min(cs) <= v.n
+    if fits and v._delta is None and v.n <= 14:
+        t0 = _hadamard_prime(v)[0] + max(map(abs, cs.values())) + 2  # raises as alexander does
+        if _det_int(v.pencil(t0)) != sum(c * t0 ** (e + h) for e, c in centered.coeffs.items()):
+            return False
+        v._delta = centered
+    return fits and centered == alexander(v)
 
 
 def arf(v: SeifertMatrix) -> int:

@@ -438,6 +438,11 @@ _MALFORMED_STORE_ERROR = {
     "genus-string": "error: an interval is an integer or [lo, hi], got 'x'",
     "provenance-integer-tag": "error: record 'k': provenance must map fields to strings",
     "record-empty-name": "error: record '': a store record's name must not be empty",
+    "record-unknown-key": "error: record 'k': unknown key 'sigmaa'",
+    "invariants-unknown-key": "error: record 'k': unknown key 'taux' in invariants",
+    "upsilon-unknown-key": "error: record 'k': unknown key 'break' in upsilon",
+    "document-unknown-key": "error: unknown store key 'record'",
+    "matrix-unknown-key": "error: record 'k': unknown key 'entriez' in seifert_matrix",
 }
 
 
@@ -468,6 +473,11 @@ _MALFORMED_STORE_ERROR = {
     _store_with(invariants={"g4": "x"}),
     _store_with(provenance={"sigma": 5}),
     {"format_version": 1, "records": [{"name": ""}]},
+    _store_with(sigmaa=4, invariants={"taux": 3}),
+    _store_with(invariants={"taux": 3}),
+    _store_with(invariants={"upsilon": {"breakpoints": [[0, 0], [2, 0]], "break": []}}),
+    {"format_version": 1, "records": [], "record": []},
+    _store_with(seifert_matrix={"n": 2, "entries": [[-1, 1], [0, -1]], "entriez": [[1]]}),
 ], ids=["document-not-object", "records-not-list", "records-missing", "record-not-object",
         "record-without-name", "alexander-not-terms", "alexander-null-coefficient",
         "invariants-not-object", "sigma-not-integer", "upsilon-breakpoint-exponent",
@@ -475,7 +485,9 @@ _MALFORMED_STORE_ERROR = {
         "format-version-bool", "matrix-false", "invariants-false", "provenance-zero",
         "upsilon-zero", "upsilon-empty-list", "epsilon-zero-tau-nonzero",
         "upsilon-string-coordinate", "genus-three-items", "genus-empty-list",
-        "genus-string", "provenance-integer-tag", "record-empty-name"])
+        "genus-string", "provenance-integer-tag", "record-empty-name", "record-unknown-key",
+        "invariants-unknown-key", "upsilon-unknown-key", "document-unknown-key",
+        "matrix-unknown-key"])
 def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document, request):
     path = tmp_path / "store.json"
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -528,15 +540,39 @@ def count_kernels(monkeypatch):
     n (on the real, or the n x n Hermitian, form); the determinant det(V + V^T), and
     so Arf, is the last pivot of the first.  A Levine-Tristram signature on the arc
     through 1 or -1 costs no elimination.  SeifertMatrix checks det(V - V^T) = Pf^2
-    with one _pfaffian call of size n.
+    with one _pfaffian call of size n.  Checking a stored Delta against an n x n matrix,
+    n <= 14, is one _det_int call of size n and, on a match, memoizes Delta.
     """
     calls = []
-    for name in ("_pfaffian", "_signature_int", "_charpoly_mod"):
+    for name in ("_pfaffian", "_signature_int", "_charpoly_mod", "_det_int"):
         def counted(*args, _name=name, _kernel=getattr(_seifert, name)):
             calls.append((_name, len(args[0])))
             return _kernel(*args)
         monkeypatch.setattr(_seifert, name, counted)
     return calls
+
+
+def test_a_stored_delta_is_checked_by_one_determinant(tmp_path, capsys, monkeypatch):
+    # K # -K has an odd-square determinant, so Fox-Milnor reads Delta: the one that
+    # loading checked and memoized, with no characteristic polynomial
+    n = 6
+    entries = make_valid_seifert(random.Random(26), n)
+    mirror = [[-x for x in c] for c in zip(*entries)]
+    both = [r + [0] * n for r in entries] + [[0] * n + r for r in mirror]
+    delta = _seifert.alexander(_seifert.SeifertMatrix(both))
+    path = tmp_path / "store.json"
+    records = [{"name": "k", "seifert_matrix": {"n": 2 * n, "entries": both},
+                "alexander": (laurent.LaurentPoly({3: -1}) * delta).to_terms()}]
+    path.write_text(json.dumps({"format_version": 1, "records": records}), encoding="utf-8")
+    calls = count_kernels(monkeypatch)
+    knotdb.load(path)
+    assert sorted(calls) == [("_det_int", 2 * n), ("_pfaffian", 2 * n)]
+    calls.clear()
+    code, out, _ = run(capsys, "obstruct", "--all", "--json", "--store", str(path))
+    assert code == 0
+    assert json.loads(out)["reports"][0]["verdict"]["topologically_slice"] == "unknown"
+    assert sorted(calls) == [("_det_int", 2 * n), ("_pfaffian", 2 * n),
+                             ("_signature_int", 2 * n)]
 
 
 def test_invariants_computes_alexander_once(capsys, monkeypatch):

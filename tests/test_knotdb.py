@@ -69,6 +69,20 @@ def test_record_validation_checks_stored_alexander_and_arf():
     KnotRecord(name="k", alexander=-fig8 * LaurentPoly({3: 1}), arf=1).validate()
 
 
+def test_a_wrong_stored_delta_names_both_polynomials():
+    # the determinant check only decides; the message computes Delta as before.  The
+    # second Delta is an Alexander polynomial that spans more than n = 2
+    trefoil = [[-1, 1], [0, -1]]
+    for stored, text in ((LaurentPoly({1: -1, 0: 3, -1: -1}), "-t + 3 - t^-1"),
+                         (LaurentPoly({3: 1, 2: -1, 1: 1, 0: -1, -1: 1}),
+                          "t^3 - t^2 + t - 1 + t^-1")):
+        with pytest.raises(InconsistentRecordError) as err:
+            KnotRecord(name="k", seifert_matrix=SeifertMatrix(trefoil),
+                       alexander=stored).validate()
+        assert str(err.value) == (f"record 'k': alexander: stored {text} differs from "
+                                  f"det(V - tV^T) = t - 1 + t^-1 up to units")
+
+
 def test_duplicate_names_rejected():
     store = KnotStore()
     store.add(KnotRecord(name="k"))
@@ -280,6 +294,21 @@ def test_an_indented_store_loads_and_is_resaved_one_record_per_line(tmp_path):
     assert load(indented) == load(saved) == store
     save(load(indented), indented)
     assert indented.read_bytes() == saved.read_bytes()
+
+
+def test_every_saved_record_loads_back_from_both_layouts(tmp_path):
+    # the golden corpus writes every record field, invariant and Upsilon key that save
+    # writes, so the unknown-key checks must pass it, one record per line and indented
+    from conftest import golden_corpus
+
+    store = KnotStore()
+    for record in golden_corpus():
+        store.add(record)
+    lines, indented = tmp_path / "lines.json", tmp_path / "indented.json"
+    save(store, lines)
+    indented.write_text(json.dumps({"format_version": 1, "records": [
+        r.to_json() for r in store.records()]}, indent=2) + "\n", encoding="utf-8")
+    assert load(lines) == load(indented) == store
 
 
 def test_save_load_empty_store(tmp_path):

@@ -537,6 +537,79 @@ def test_alexander_past_the_widest_prime_raises_value_error(monkeypatch, tmp_pat
             else:
                 report = json.loads(out)
                 assert err == "" and report["verdict"]["topologically_slice"] == "no", report
+    # a store record with the matrix and a stored Delta, right or wrong, fails to load with
+    # alexander's error line: the check needs the same bound, so it starts no determinant
+    with pytest.raises(ValueError) as exc:
+        alexander(SeifertMatrix(entries))
+    path = tmp_path / "store.json"
+    for delta in (alexander_full(entries), LaurentPoly.one()):
+        record = {"name": "k", "seifert_matrix": {"n": 4, "entries": entries},
+                  "alexander": delta.to_terms()}
+        path.write_text(json.dumps({"format_version": 1, "records": [record]}), encoding="utf-8")
+        assert main(["obstruct", "--all", "--store", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
+def unit_multiples(rng, delta):
+    """+/-t^k delta for a few seeded k and both signs."""
+    return [LaurentPoly({k: sign}) * delta
+            for sign in (1, -1) for k in rng.sample(range(-5, 6), 3)]
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_is_alexander_of_agrees_with_unit_equality(n, monkeypatch):
+    # the oracle is equality up to units of the computed Delta; past n = 14 the check
+    # compares with alexander(v) itself, at n <= 14 it evaluates one determinant
+    points, pencil = [], SeifertMatrix.pencil
+    monkeypatch.setattr(SeifertMatrix, "pencil", lambda v, t: points.append(t) or pencil(v, t))
+    rng = random.Random(2600 + n)
+    for _ in range(3):
+        entries = make_valid_seifert(rng, n)
+        delta, h = alexander(SeifertMatrix(entries)), n // 2
+        candidates = unit_multiples(rng, delta)
+        for _ in range(4):  # symmetric perturbations keep Delta(1) and the symmetry
+            c, j = rng.choice([-2, -1, 1, 2, 10**6]), rng.randint(1, h)
+            candidates.append(delta + LaurentPoly({j: c, 0: -2 * c, -j: c}))
+        wide = delta + LaurentPoly({h + 1: 1, 0: -2, -h - 1: 1})  # spans n + 2
+        # spans n + 4 and equals Delta on the exponents -h..h
+        wider = delta + LaurentPoly({h + 2: 1, h + 1: -1, -h - 1: -1, -h - 2: 1})
+        candidates += [wide, -wide, wider, LaurentPoly.one(), LaurentPoly({3: -1})]
+        # Delta - t^-2 (t - r)(rt - 1)(t - 1)^2 agrees with Delta at t = r and at 1: the
+        # check needs t0 past r, and r = B + 2 is past B but not past B + C
+        for r in (2, 3, hadamard_bound(entries) + 2) if h >= 2 else ():
+            diff = LaurentPoly({-1: r, 0: -r * r - 1, 1: r}) * LaurentPoly({-1: 1, 0: -2, 1: 1})
+            candidates.append(delta - diff)
+        for cand in candidates:
+            v = SeifertMatrix(entries)
+            expected = normalize(cand)[0] == normalize(delta)[0]
+            points.clear()
+            assert _seifert.is_alexander_of(v, cand) == expected, (entries, cand)
+            # t0 is past every root of D - t^h Delta_c, whose coefficients are at most
+            # the largest of Delta's plus the largest of cand's
+            bound = 1 + sum(max(map(abs, p.coeffs.values())) for p in (delta, cand))
+            assert all(t0 > bound for t0 in points if t0 not in (1, -1))
+            # a match leaves exactly alexander(v) on v, and a mismatch nothing else
+            assert v._delta == delta if expected else v._delta in (None, delta)
+            assert _seifert.is_alexander_of(v, cand) == expected  # again, against the memo
+    assert _seifert.is_alexander_of(SeifertMatrix([]), LaurentPoly({2: -1}))
+    assert not _seifert.is_alexander_of(SeifertMatrix([]), LaurentPoly({1: 1, 0: -1, -1: 1}))
+
+
+def test_det_int_matches_the_bareiss_oracle_and_delta_at_t0():
+    from conftest import det_bareiss
+
+    rng = random.Random(1968)
+    for n in range(0, 9):  # sparse matrices make zero pivots, swaps and singular cases
+        for _ in range(10):
+            m = [[rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+            assert _seifert._det_int([list(r) for r in m]) == det_bareiss(m), m
+    for n in range(2, 13, 2):
+        entries = make_valid_seifert(rng, n)
+        delta, h = alexander_full(entries), n // 2
+        t0 = hadamard_bound(entries) + max(abs(c) for c in delta.coeffs.values()) + 2
+        pencil = SeifertMatrix(entries).pencil(t0)
+        assert _seifert._det_int(pencil) == sum(c * t0 ** (e + h)
+                                                for e, c in delta.coeffs.items())
 
 
 P224 = 2**224 - 2**96 + 1
