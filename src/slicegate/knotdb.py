@@ -14,7 +14,7 @@ import os
 
 from . import seifert as _seifert
 from . import whitehead as _wh
-from ._record import default_factory, value_class
+from ._record import UnknownKeyError, default_factory, reject_unknown_keys, value_class
 from .bounds import GENUS_FLOOR, Interval
 from .laurent import InvalidAlexanderError, LaurentPoly, _wire_int, check_alexander
 from .plfunc import PLFunction
@@ -109,28 +109,25 @@ class KnotRecord:
                              f"got {obj!r}")
         if not obj["name"]:
             raise ValueError("record '': a store record's name must not be empty")
-        inv = {} if obj.get("invariants") is None else obj["invariants"]
-        ups = inv.get("upsilon") if isinstance(inv, dict) else None
-        for at, part, keys in (("", obj, cls._fields),
-                               (" in seifert_matrix", obj.get("seifert_matrix"), ("n", "entries")),
-                               (" in invariants", inv, CompanionInvariants._fields),
-                               (" in upsilon", ups, ("breakpoints",))):
-            if isinstance(part, dict) and (extra := [k for k in part if k not in keys]):
-                raise ValueError(f"record {obj['name']!r}: unknown key {extra[0]!r}{at}")
         provenance = {} if obj.get("provenance") is None else obj["provenance"]
         if not isinstance(provenance, dict) or not all(type(t) is str for t in provenance.values()):
             raise ValueError(f"record {obj['name']!r}: provenance must map fields to strings")
-        return cls(
-            name=obj["name"],
-            seifert_matrix=(SeifertMatrix.from_json(obj["seifert_matrix"])
-                            if obj.get("seifert_matrix") is not None else None),
-            alexander=(LaurentPoly.from_terms(obj["alexander"])
-                       if obj.get("alexander") is not None else None),
-            invariants=CompanionInvariants.from_json(inv),
-            sigma=obj.get("sigma"),
-            arf=obj.get("arf"),
-            provenance=dict(provenance),
-        )
+        try:
+            reject_unknown_keys(obj, cls._fields, "the record")
+            return cls(
+                name=obj["name"],
+                seifert_matrix=(SeifertMatrix.from_json(obj["seifert_matrix"])
+                                if obj.get("seifert_matrix") is not None else None),
+                alexander=(LaurentPoly.from_terms(obj["alexander"])
+                           if obj.get("alexander") is not None else None),
+                invariants=CompanionInvariants.from_json(
+                    {} if obj.get("invariants") is None else obj["invariants"]),
+                sigma=obj.get("sigma"),
+                arf=obj.get("arf"),
+                provenance=dict(provenance),
+            )
+        except UnknownKeyError as exc:
+            raise ValueError(f"record {obj['name']!r}: {exc}") from None
 
 
 class KnotStore:
@@ -408,8 +405,7 @@ def load(path) -> KnotStore:
     version = doc.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported store format_version {version!r}")
-    if extra := [k for k in doc if k not in ("format_version", "records")]:
-        raise ValueError(f"unknown store key {extra[0]!r}")
+    reject_unknown_keys(doc, ("format_version", "records"), "the store")
     records = doc.get("records")
     if not isinstance(records, list):
         raise ValueError("store 'records' must be a JSON list")

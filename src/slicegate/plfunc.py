@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._record import value_class
+from ._record import reject_unknown_keys, value_class
 
 
 def _frac(x) -> Fraction:
@@ -101,6 +101,7 @@ class PLFunction:
 
     @classmethod
     def from_json(cls, obj) -> "PLFunction":
+        reject_unknown_keys(obj, ("breakpoints",), "a PL function")
         try:
             bps = obj["breakpoints"]
             if any(isinstance(x, str) for bp in bps for x in bp):  # _frac would parse "1/2"

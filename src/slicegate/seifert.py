@@ -21,6 +21,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import reject_unknown_keys
 from .laurent import (LaurentPoly, _poly_div_exact, _poly_mul, _sturm_chain, _wire_int,
                       check_alexander)
 from .plfunc import _frac
@@ -88,6 +89,7 @@ class SeifertMatrix:
     def from_json(cls, obj) -> "SeifertMatrix":
         if not isinstance(obj, dict):
             return cls(obj)
+        reject_unknown_keys(obj, ("n", "entries"), "a Seifert matrix")
         if "entries" not in obj:
             raise NotASeifertMatrixError("Seifert matrix document has no 'entries'")
         v = cls(obj["entries"])
@@ -316,20 +318,18 @@ def is_alexander_of(v: SeifertMatrix, delta: LaurentPoly) -> bool:
     """Whether the nonzero delta is det(V - tV^T) = D(t) up to a unit +/-t^k, decided exactly.
 
     Delta_c (delta centered, Delta_c(1) = 1) must span at most n = 2h; then D - t^h Delta_c has
-    coefficients at most B + C (B of _hadamard_prime, C of delta), so by Cauchy's root bound it
-    is 0 iff it vanishes at t0 = B + C + 2: one Bareiss determinant decides, and a match memoizes
-    Delta_c.  Its entries grow to n log2(t0) bits, so past n = 14 alexander(v) is cheaper.
+    coefficients below t0 - 1 = B + C + 1 (B of _hadamard_prime, C of delta), so by Cauchy's root
+    bound it is 0 iff it vanishes at t0.  A match memoizes Delta_c as alexander(v).
     """
     cs, h = delta.coeffs, v.n // 2
+    if max(cs) - min(cs) > v.n:
+        return False
     mid, sign = (min(cs) + max(cs)) // 2, 1 if delta.at_pm1(1) > 0 else -1
     centered = LaurentPoly({e - mid: sign * c for e, c in cs.items()})
-    fits = max(cs) - min(cs) <= v.n
-    if fits and v._delta is None and v.n <= 14:
-        t0 = _hadamard_prime(v)[0] + max(map(abs, cs.values())) + 2  # raises as alexander does
-        if _det_int(v.pencil(t0)) != sum(c * t0 ** (e + h) for e, c in centered.coeffs.items()):
-            return False
+    t0 = _hadamard_prime(v)[0] + max(map(abs, cs.values())) + 2  # raises as alexander does
+    if same := _det_int(v.pencil(t0)) == sum(c * t0 ** (e + h) for e, c in centered.coeffs.items()):
         v._delta = centered
-    return fits and centered == alexander(v)
+    return same
 
 
 def arf(v: SeifertMatrix) -> int:

@@ -9,7 +9,7 @@ sigma, Arf and Delta are read off it by the seifert kernels.
 
 from __future__ import annotations
 
-from ._record import value_class
+from ._record import reject_unknown_keys, value_class
 from .bounds import GenusBounds, Interval
 from .plfunc import PLFunction
 from .seifert import SeifertMatrix
@@ -101,6 +101,7 @@ class CompanionInvariants(GenusBounds):
     def from_json(cls, obj) -> "CompanionInvariants":
         if not isinstance(obj, dict):
             raise ValueError(f"stored invariants must be a JSON object, got {obj!r}")
+        reject_unknown_keys(obj, cls._fields, "invariants")
         ups = obj.get("upsilon")
         return super().from_json(
             obj, tau=obj.get("tau"), epsilon=obj.get("epsilon"), nu=obj.get("nu"),

@@ -406,6 +406,9 @@ TREFOIL = {"n": 2, "entries": [[-1, 1], [0, -1]]}  # a valid matrix file
      {"breakpoints": [[0, 0], [2, 0]]}),
     (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-file", "{file}"],
      {"breakpoints": [[0, 0], ["1/2", 0], [2, 0]]}),
+    (["invariants", "--matrix-file", "{file}"], {**TREFOIL, "sigma": 5}),
+    (["cable-bounds", "--p", "2", "--q", "1", "--upsilon-file", "{file}"],
+     {"breakpoints": [[0, 0], [2, 0]], "tau": 0}),
 ], ids=["omega-zero-denominator", "cobordism-zero-denominator",
         "euler-range-zero-denominator", "upsilon-file-zero-denominator",
         "matrix-file-without-entries", "matrix-file-entries-not-rows",
@@ -415,7 +418,8 @@ TREFOIL = {"n": 2, "entries": [[-1, 1], [0, -1]]}  # a valid matrix file
         "upsilon-file-float-pair", "invariants-name-and-matrix-file",
         "obstruct-name-and-matrix-file", "obstruct-all-and-matrix-file", "obstruct-all-and-name",
         "cable-bounds-zero-and-upsilon-of", "cable-bounds-zero-and-upsilon-file",
-        "cable-bounds-upsilon-of-and-upsilon-file", "upsilon-file-string-coordinate"])
+        "cable-bounds-upsilon-of-and-upsilon-file", "upsilon-file-string-coordinate",
+        "matrix-file-unknown-key", "upsilon-file-unknown-key"])
 def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document):
     path = tmp_path / "input.json"
     if document is not None:
@@ -438,11 +442,11 @@ _MALFORMED_STORE_ERROR = {
     "genus-string": "error: an interval is an integer or [lo, hi], got 'x'",
     "provenance-integer-tag": "error: record 'k': provenance must map fields to strings",
     "record-empty-name": "error: record '': a store record's name must not be empty",
-    "record-unknown-key": "error: record 'k': unknown key 'sigmaa'",
+    "record-unknown-key": "error: record 'k': unknown key 'sigmaa' in the record",
     "invariants-unknown-key": "error: record 'k': unknown key 'taux' in invariants",
-    "upsilon-unknown-key": "error: record 'k': unknown key 'break' in upsilon",
-    "document-unknown-key": "error: unknown store key 'record'",
-    "matrix-unknown-key": "error: record 'k': unknown key 'entriez' in seifert_matrix",
+    "upsilon-unknown-key": "error: record 'k': unknown key 'break' in a PL function",
+    "document-unknown-key": "error: unknown key 'record' in the store",
+    "matrix-unknown-key": "error: record 'k': unknown key 'entriez' in a Seifert matrix",
 }
 
 
@@ -540,8 +544,8 @@ def count_kernels(monkeypatch):
     n (on the real, or the n x n Hermitian, form); the determinant det(V + V^T), and
     so Arf, is the last pivot of the first.  A Levine-Tristram signature on the arc
     through 1 or -1 costs no elimination.  SeifertMatrix checks det(V - V^T) = Pf^2
-    with one _pfaffian call of size n.  Checking a stored Delta against an n x n matrix,
-    n <= 14, is one _det_int call of size n and, on a match, memoizes Delta.
+    with one _pfaffian call of size n.  Checking a stored Delta against an n x n matrix
+    is one _det_int call of size n and, on a match, memoizes Delta.
     """
     calls = []
     for name in ("_pfaffian", "_signature_int", "_charpoly_mod", "_det_int"):

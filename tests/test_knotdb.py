@@ -130,6 +130,17 @@ def test_ingest_csv_unparseable_cell_becomes_diagnostic(tmp_path):
     assert store.lookup("k1").invariants.tau is None
 
 
+def test_ingest_csv_matrix_cell_with_an_unknown_key_becomes_diagnostic(tmp_path):
+    path = tmp_path / "extra.csv"
+    cell = '{"n": 2, "entries": [[-1, 1], [0, -1]], "sigma": 5}'
+    path.write_text('knot,matrix\nk1,"' + cell.replace('"', '""') + '"\n', encoding="utf-8")
+    store = KnotStore()
+    added, diagnostics = ingest_csv(store, path, {"name": "knot", "seifert": "matrix"})
+    assert added == ["k1"] and store.lookup("k1").seifert_matrix is None
+    assert diagnostics == [f"row 2: seifert: unparseable cell {cell!r} "
+                           f"(unknown key 'sigma' in a Seifert matrix)"]
+
+
 def test_ingest_csv_non_integer_cells_become_diagnostics(tmp_path):
     path = tmp_path / "floats.csv"
     path.write_text('knot,matrix,delta,g4\nk1,"[[-1.5,1],[0,2]]",,\nk2,,"[[1.7,0]]",\n'

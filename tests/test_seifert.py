@@ -558,8 +558,8 @@ def unit_multiples(rng, delta):
 
 @pytest.mark.parametrize("n", range(2, 17, 2))
 def test_is_alexander_of_agrees_with_unit_equality(n, monkeypatch):
-    # the oracle is equality up to units of the computed Delta; past n = 14 the check
-    # compares with alexander(v) itself, at n <= 14 it evaluates one determinant
+    # the oracle is equality up to units of the computed Delta; the check evaluates one
+    # determinant at a point past the root bound
     points, pencil = [], SeifertMatrix.pencil
     monkeypatch.setattr(SeifertMatrix, "pencil", lambda v, t: points.append(t) or pencil(v, t))
     rng = random.Random(2600 + n)
@@ -588,9 +588,9 @@ def test_is_alexander_of_agrees_with_unit_equality(n, monkeypatch):
             # the largest of Delta's plus the largest of cand's
             bound = 1 + sum(max(map(abs, p.coeffs.values())) for p in (delta, cand))
             assert all(t0 > bound for t0 in points if t0 not in (1, -1))
-            # a match leaves exactly alexander(v) on v, and a mismatch nothing else
-            assert v._delta == delta if expected else v._delta in (None, delta)
-            assert _seifert.is_alexander_of(v, cand) == expected  # again, against the memo
+            # a match leaves exactly alexander(v) on v, and a mismatch nothing
+            assert v._delta == (delta if expected else None)
+            assert _seifert.is_alexander_of(v, cand) == expected  # again, with Delta memoized
     assert _seifert.is_alexander_of(SeifertMatrix([]), LaurentPoly({2: -1}))
     assert not _seifert.is_alexander_of(SeifertMatrix([]), LaurentPoly({1: 1, 0: -1, -1: 1}))
 
