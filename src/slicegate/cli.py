@@ -430,13 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _lookup_errors() -> tuple:
-    # evaluated only when an exception reaches main's handler: UnknownKnotError is
-    # caught, not every KeyError, and only a lookup, which loads knotdb, raises it
-    knotdb = sys.modules.get(f"{__package__}.knotdb")
-    return (knotdb.UnknownKnotError,) if knotdb else ()
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -446,7 +439,7 @@ def main(argv=None) -> int:
         if path and not os.path.exists(path) and args.fn is not _cmd_import:
             raise ValueError(f"store file {path} does not exist")
         return args.fn(args)
-    except (ValueError, OSError, *_lookup_errors()) as exc:
+    except (ValueError, OSError) as exc:  # a failed lookup is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

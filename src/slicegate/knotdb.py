@@ -24,8 +24,8 @@ from .whitehead import CompanionInvariants, InvariantClashError, WhiteheadParams
 FORMAT_VERSION = 1
 
 
-class UnknownKnotError(KeyError):
-    """Lookup of a name not present in the store."""
+class UnknownKnotError(KeyError, ValueError):
+    """Lookup of a name not present in the store: a KeyError, and a ValueError for the CLI."""
 
     def __str__(self):
         return self.args[0] if self.args else "unknown knot"

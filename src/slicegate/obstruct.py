@@ -325,13 +325,11 @@ def _aggregate_facts(facts: Facts) -> ObstructionReport:
     changed = True
     while changed:
         changed = False
-        last_sweep, smooth_notes = [], []
-        for name, anchor, bound_fn, smooth_note in _RULES:
+        last_sweep = []
+        for name, anchor, bound_fn, _ in _RULES:
             for quantity, side, value, note in bound_fn(facts, lo, hi):
                 changed |= tracker.tighten(quantity, side, value, name)
                 last_sweep.append((name, anchor, quantity, side, value, note))
-            if smooth_note and (note := smooth_note(facts)):
-                smooth_notes.append(AppliedRule(name, anchor, note))
 
     # the last sweep tightened nothing, so it ran against the final bounds
     applied = [AppliedRule(name, anchor, note)
@@ -348,9 +346,10 @@ def _aggregate_facts(facts: Facts) -> ObstructionReport:
         applied.append(AppliedRule(
             "freedman", "Freedman: trivial Alexander polynomial => topologically slice",
             f"Delta = {facts.delta}, so the knot is topologically slice"))
-    if lo["g4"] >= 1:
+    if lo["g4"] >= 1:  # the smooth notes read only the facts, so they are built here once
         smooth = "no"
-        applied += smooth_notes
+        applied += [AppliedRule(name, anchor, note) for name, anchor, _, smooth_note in _RULES
+                    if smooth_note and (note := smooth_note(facts))]
     elif hi["g4"] == 0:
         smooth = topological = "yes"
         applied.append(AppliedRule("stored-bounds", _STORED_ANCHOR,

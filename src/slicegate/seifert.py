@@ -8,8 +8,9 @@ over the Gaussian integers on the n x n Hermitian form taken on the same arc
 of the unit circle it gives each Levine-Tristram signature of an interior arc.
 det(V - t V^T) comes from the characteristic polynomial of the small integer matrix
 W = (V - V^T)^-1 V, reduced left-looking to Hessenberg form modulo the one
-tabled prime that a Hadamard bound sizes; a given Delta is checked by one determinant
-of V - t0 V^T, t0 past a root bound.  sigma with det(V + V^T), Delta and the Sturm
+tabled prime that a Hadamard bound sizes.  Every other determinant is one Bareiss
+elimination: det(V - V^T) = 1 checks the Seifert form, and that of V - t0 V^T, t0 past
+a root bound, a given Delta.  sigma with det(V + V^T), Delta and the Sturm
 chain that Levine-Tristram signatures share are each computed at most once per matrix.
 """
 
@@ -55,7 +56,7 @@ class SeifertMatrix:
             raise NotASeifertMatrixError(f"size {n} is odd; Seifert matrices have even size")
         self._rows = rows
         self._sigma = self._det = self._delta = self._chain = None
-        if (d := _pfaffian(self.pencil(1)) ** 2) != 1:  # det(V - V^T) = Pf^2
+        if (d := _det_int(self.pencil(1))) != 1:  # skew of even size: det = Pf^2 >= 0
             raise NotASeifertMatrixError(f"det(V - V^T) = {d}, expected +/-1")
 
     @property
@@ -96,39 +97,6 @@ class SeifertMatrix:
         if type(obj.get("n", v.n)) is not int or obj.get("n", v.n) != v.n:
             raise NotASeifertMatrixError("declared size is not the size of the entry rows")
         return v
-
-
-def _pfaffian(rows) -> int:
-    """Pfaffian of an even-size integer skew matrix, by fraction-free 2 x 2 pivots.
-
-    The step on rows (a, b) = (2k, 2k + 1) pivots on p = m_ab and updates the upper
-    triangle only: m_ij <- (m_ij p + m_aj m_bi - m_ai m_bj) / prev.  Every m_ij is then
-    the Pfaffian minor on rows 0..b, i and j, and prev the one on rows 0..a - 1, so each
-    division is exact (Tanner's identity; Galbiati-Maffioli 1994) and the last pivot is
-    Pf.  A zero m_ab swaps row and column b with the first j that has m_aj != 0, which
-    flips the sign; with none, row a of the reduced matrix is zero and so is Pf.
-    """
-    m, sign, prev = [list(r) for r in rows], 1, 1
-    n = len(m)
-    for a in range(0, n, 2):
-        b = a + 1
-        ra, rb = m[a], m[b]
-        if not ra[b]:
-            j = next((j for j in range(b + 1, n) if ra[j]), None)
-            if j is None:
-                return 0
-            ra[b], ra[j], rb[j], sign = ra[j], ra[b], -rb[j], -sign
-            for r in range(b + 1, j):
-                rb[r], m[r][j] = -m[r][j], -rb[r]
-            for r in range(j + 1, n):
-                rb[r], m[j][r] = m[j][r], rb[r]
-        p = ra[b]
-        for i in range(b + 1, n):
-            ri, ai, bi = m[i], ra[i], rb[i]
-            ri[i + 1:] = [(x * p + bi * y - ai * z) // prev
-                          for x, y, z in zip(ri[i + 1:], ra[i + 1:], rb[i + 1:])]
-        prev = p
-    return sign * prev
 
 
 def _signature_int(a, b=None) -> tuple[int, int]:
@@ -308,8 +276,10 @@ def _det_int(m) -> int:
             m[k], m[piv], sign = m[piv], m[k], -sign
         p, rk = m[k][k], m[k][k + 1:]
         for ri in m[k + 1:]:
-            a = ri[k]
-            ri[k + 1:] = [(x * p - a * y) // prev for x, y in zip(ri[k + 1:], rk)]
+            if a := ri[k]:
+                ri[k + 1:] = [(x * p - a * y) // prev for x, y in zip(ri[k + 1:], rk)]
+            elif p != prev:  # a zero below the pivot only rescales the row
+                ri[k + 1:] = [x * p // prev for x in ri[k + 1:]]
         prev = p
     return sign * m[-1][-1] if n else 1
 

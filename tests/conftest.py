@@ -54,7 +54,8 @@ def random_skew_unimodular(rng, n, ops=3):
 def det_bareiss(rows) -> int:
     """Oracle: exact determinant of an integer matrix (fraction-free Bareiss).
 
-    The kernel behind the det(V - V^T) check before the Pfaffian one.
+    The plain entry-by-entry loop, with no shortcut for a zero below the pivot, that
+    checks seifert._det_int behind the det(V - V^T) and stored-Delta checks.
     """
     n = len(rows)
     if n == 0:

@@ -93,6 +93,16 @@ def test_obstruct_unknown_knot_is_input_error(capsys):
     assert "19_55" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["show", "nope"],
+    ["whitehead", "--clasp", "+", "--twist", "3", "--companion", "nope"],
+    ["cable-bounds", "--p", "2", "--q", "3", "--upsilon-of", "nope"],
+], ids=["show", "whitehead-companion", "cable-bounds-upsilon-of"])
+def test_an_unknown_knot_is_one_error_line_and_exit_2(argv):
+    proc = run_python("-m", "slicegate.cli", *argv)  # a fresh process, as a user runs it
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: unknown knot 'nope'\n")
+
+
 def test_obstruct_batch_matches_single_reports(capsys):
     code, out, _ = run(capsys, "obstruct", "--all", "--json")
     assert code == 0
@@ -543,12 +553,12 @@ def count_kernels(monkeypatch):
     Levine-Tristram signature on an interior arc, is one _signature_int call of size
     n (on the real, or the n x n Hermitian, form); the determinant det(V + V^T), and
     so Arf, is the last pivot of the first.  A Levine-Tristram signature on the arc
-    through 1 or -1 costs no elimination.  SeifertMatrix checks det(V - V^T) = Pf^2
-    with one _pfaffian call of size n.  Checking a stored Delta against an n x n matrix
-    is one _det_int call of size n and, on a match, memoizes Delta.
+    through 1 or -1 costs no elimination.  SeifertMatrix checks det(V - V^T) = 1 with
+    one _det_int call of size n.  Checking a stored Delta against an n x n matrix is
+    one more _det_int call of size n and, on a match, memoizes Delta.
     """
     calls = []
-    for name in ("_pfaffian", "_signature_int", "_charpoly_mod", "_det_int"):
+    for name in ("_signature_int", "_charpoly_mod", "_det_int"):
         def counted(*args, _name=name, _kernel=getattr(_seifert, name)):
             calls.append((_name, len(args[0])))
             return _kernel(*args)
@@ -570,12 +580,12 @@ def test_a_stored_delta_is_checked_by_one_determinant(tmp_path, capsys, monkeypa
     path.write_text(json.dumps({"format_version": 1, "records": records}), encoding="utf-8")
     calls = count_kernels(monkeypatch)
     knotdb.load(path)
-    assert sorted(calls) == [("_det_int", 2 * n), ("_pfaffian", 2 * n)]
+    assert sorted(calls) == [("_det_int", 2 * n), ("_det_int", 2 * n)]
     calls.clear()
     code, out, _ = run(capsys, "obstruct", "--all", "--json", "--store", str(path))
     assert code == 0
     assert json.loads(out)["reports"][0]["verdict"]["topologically_slice"] == "unknown"
-    assert sorted(calls) == [("_det_int", 2 * n), ("_pfaffian", 2 * n),
+    assert sorted(calls) == [("_det_int", 2 * n), ("_det_int", 2 * n),
                              ("_signature_int", 2 * n)]
 
 
@@ -598,7 +608,7 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     calls = count_kernels(monkeypatch)
     # one V - V^T check and one sigma, whose last pivot gives the determinant and Arf;
     # a determinant that is not a square fails Fox-Milnor, so aggregate reads no Delta
-    checked = sorted([("_pfaffian", n), ("_signature_int", n)])
+    checked = sorted([("_det_int", n), ("_signature_int", n)])
     # invariants prints Delta, one characteristic polynomial; both omega lie on the arc
     # through 1 (Delta has no root between them and 1), so they add no Hermitian signature
     one_pass = sorted(checked + [("_charpoly_mod", n)])
@@ -628,7 +638,7 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     calls.clear()
     code, out, _ = run(capsys, "obstruct", "--matrix-file", str(path), "--json")
     assert code == 0 and json.loads(out)["verdict"]["topologically_slice"] == "unknown"
-    assert sorted(calls) == sorted([("_pfaffian", 2 * n), ("_signature_int", 2 * n),
+    assert sorted(calls) == sorted([("_det_int", 2 * n), ("_signature_int", 2 * n),
                                     ("_charpoly_mod", 2 * n)])
 
     # one prime modulus serves n = 32 with entries of size at most 5 too; both omega lie
@@ -638,7 +648,7 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
     big = _seifert.SeifertMatrix(make_valid_seifert(random.Random(32), 32))
     values = [_seifert.levine_tristram(big, w) for w in ("1/3", "2/5")]
     assert values == [_seifert.signature(big)] * 2
-    assert sorted(calls) == [("_charpoly_mod", 32), ("_pfaffian", 32),
+    assert sorted(calls) == [("_charpoly_mod", 32), ("_det_int", 32),
                              ("_signature_int", 32)], values
 
     # T(2, 7) has roots of Delta at angles 1/14, 3/14 and 5/14 of the circle, so 1/7 and
@@ -651,7 +661,7 @@ def test_sigma_and_delta_computed_once_per_matrix(tmp_path, capsys, monkeypatch)
                        "--omega", "1/7", "--omega", "1/3", "--json")
     assert code == 0
     assert [row["signature"] for row in json.loads(out)["levine_tristram"]] == [-2, -4]
-    assert sorted(calls) == sorted([("_pfaffian", 6), ("_signature_int", 6),
+    assert sorted(calls) == sorted([("_det_int", 6), ("_signature_int", 6),
                                     ("_charpoly_mod", 6)] + [("_signature_int", 6)] * 2)
 
 

@@ -40,6 +40,14 @@ def test_seed_tau_epsilon_table_data():
 def test_unknown_name():
     with pytest.raises(UnknownKnotError):
         seed_table().lookup("19_1")
+    # a failed lookup is still a KeyError to library callers, and a ValueError, which the CLI
+    # reports as an input error
+    try:
+        seed_table().lookup("19_1")
+    except KeyError as exc:
+        assert isinstance(exc, ValueError) and str(exc) == "unknown knot '19_1'"
+    else:
+        pytest.fail("lookup of an unknown name raised nothing")
 
 
 def test_record_validation_catches_mismatches():

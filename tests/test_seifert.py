@@ -56,8 +56,8 @@ def test_validation_random_matrices():
             SeifertMatrix(make_invalid_seifert(rng, n))
 
 
-def test_validation_reports_det_as_the_pfaffian_square():
-    # det(V - V^T) is read as Pf(V - V^T)^2; the message names the determinant
+def test_validation_reports_det_of_the_skew_part_unsigned():
+    # a skew matrix of even size has det(V - V^T) = Pf(V - V^T)^2 >= 0; the message names it
     for entries, det in (([[0, 2], [0, 0]], 4), ([[0, 0], [0, 0]], 0),
                          ([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3], [0, 0, 0, 0]], 9)):
         with pytest.raises(NotASeifertMatrixError) as err:
@@ -65,12 +65,12 @@ def test_validation_reports_det_as_the_pfaffian_square():
         assert str(err.value) == f"det(V - V^T) = {det}, expected +/-1"
 
 
-def test_pfaffian_squares_to_the_bareiss_determinant():
-    # Pf(A)^2 = det A on seeded skew matrices: sparse ones, whose zero pivots need a
-    # swap, singular ones (Pf = 0) whose zero row shows only after some steps, and dense
-    # ones; the sign from Pf(P J P^T) = det P for the standard symplectic form J
+def test_det_int_of_skew_matrices_is_the_bareiss_square():
+    # det A = Pf(A)^2 on seeded skew matrices: sparse ones, whose zero pivots need a swap
+    # past the next row, singular ones whose zero row shows only after some steps, low-rank
+    # and dense ones; det(P J P^T) = det(P)^2 for the standard symplectic form J
     from conftest import det_bareiss
-    from slicegate.seifert import _pfaffian
+    from slicegate.seifert import _det_int
 
     def skew(n, draw):
         a = [[0] * n for _ in range(n)]
@@ -81,7 +81,7 @@ def test_pfaffian_squares_to_the_bareiss_determinant():
         return a
 
     rng = random.Random(1994)
-    kinds = {"swap": 0, "singular": 0, "low rank": 0}
+    kinds = {"swap": 0, "singular": 0, "low rank": 0, "dense": 0}
     for _ in range(400):
         n = rng.choice([0, 2, 4, 6, 8, 10, 12])
         if rng.random() < 0.2:  # sum of fewer than n/2 rank-2 terms x y^T - y x^T
@@ -92,18 +92,23 @@ def test_pfaffian_squares_to_the_bareiss_determinant():
         else:
             density = rng.choice([0.2, 0.5, 1.0])
             a = skew(n, lambda i, j: rng.randint(-3, 3) if rng.random() < density else 0)
-        copy_of_a = [list(r) for r in a]
-        pf = _pfaffian(a)
-        assert a == copy_of_a and pf * pf == det_bareiss(a), a
-        kinds["swap"] += n > 0 and not a[0][1] and pf != 0
-        kinds["singular"] += pf == 0
-    assert min(kinds.values()) >= 30, kinds  # 35 swaps, 181 singular, 45 low rank
+            kinds["dense"] += n > 0 and density == 1.0
+        d = _det_int([list(r) for r in a])
+        assert d == det_bareiss(a) and math.isqrt(d) ** 2 == d, a
+        kinds["swap"] += n > 0 and not a[1][0] and d != 0
+        kinds["singular"] += d == 0
+    assert min(kinds.values()) >= 30, kinds  # 35 swaps, 181 singular, 45 low rank, 102 dense
     jmat = skew(8, lambda i, j: int(j == i + 1 and i % 2 == 0))
     for _ in range(40):
         p = [[rng.randint(-2, 2) for _ in range(8)] for _ in range(8)]
         pj = [[sum(p[i][k] * jmat[k][j] for k in range(8)) for j in range(8)] for i in range(8)]
         a = [[sum(pj[i][k] * p[j][k] for k in range(8)) for j in range(8)] for i in range(8)]
-        assert _pfaffian(a) == det_bareiss(p), p
+        assert _det_int(a) == det_bareiss(p) ** 2, p
+    # a zero below the pivot rescales its row by p/prev: J(2) (+) J(3) does so at steps 1
+    # and 2, where p != prev != 1, and J (+) J leaves rows 2 and 3 at step 1, where p = prev
+    for a, det in ((skew(4, lambda i, j: {(0, 1): 2, (2, 3): 3}.get((i, j), 0)), 36),
+                   (skew(4, lambda i, j: int((i, j) in ((0, 1), (2, 3)))), 1)):
+        assert det_bareiss(a) == det == _det_int(a), a
 
 
 def test_make_valid_seifert_gives_up_at_small_bounds(monkeypatch):
