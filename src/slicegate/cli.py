@@ -21,19 +21,21 @@ from .plfunc import CobordismCheck, PLFunction
 STORE_ENV = "SLICEGATE_STORE"
 
 
-# the options that each choose what a command reads: at most one may be given
+# the options that each choose what a command reads: exactly one must be given
 _SELECTORS = {
-    "invariants": ("name", "matrix_file"),
-    "obstruct": ("name", "matrix_file", "all"),
-    "cable-bounds": ("zero", "upsilon_file", "upsilon_of"),
+    "invariants": ("NAME", "--matrix-file"),
+    "obstruct": ("NAME", "--matrix-file", "--all"),
+    "cable-bounds": ("--zero", "--upsilon-file", "--upsilon-of"),
 }
 
 
 def _check_selectors(args) -> None:
-    given = ["NAME" if d == "name" else "--" + d.replace("_", "-")
-             for d in _SELECTORS.get(args.command, ()) if getattr(args, d)]
+    options = _SELECTORS.get(args.command, ())
+    given = [o for o in options if getattr(args, o.lstrip("-").replace("-", "_").lower())]
     if len(given) > 1:
         raise ValueError(f"{', '.join(given[:-1])} and {given[-1]} conflict; give only one")
+    if options and not given:
+        raise ValueError(f"give {', '.join(options[:-1])} or {options[-1]}")
 
 
 def _load_store(args) -> KnotStore:
@@ -56,8 +58,6 @@ def _record_for(args) -> KnotRecord:
         name = os.path.splitext(os.path.basename(args.matrix_file))[0]
         rec = KnotRecord(name=name, seifert_matrix=matrix, provenance={"seifert_matrix": "table"})
         return rec.validate()
-    if not args.name:
-        raise ValueError("give a knot name or --matrix-file")
     return _load_store(args).lookup(args.name)
 
 
@@ -229,12 +229,10 @@ def _upsilon_source(args) -> PLFunction:
     if args.upsilon_file:
         with open(args.upsilon_file, encoding="utf-8") as fh:
             return PLFunction.from_json(json.load(fh))
-    if args.upsilon_of:
-        rec = _load_store(args).lookup(args.upsilon_of)
-        if rec.invariants.upsilon is None:
-            raise ValueError(f"record {args.upsilon_of!r} stores no Upsilon function")
-        return rec.invariants.upsilon
-    raise ValueError("give --upsilon-of NAME, --upsilon-file FILE, or --zero")
+    rec = _load_store(args).lookup(args.upsilon_of)
+    if rec.invariants.upsilon is None:
+        raise ValueError(f"record {args.upsilon_of!r} stores no Upsilon function")
+    return rec.invariants.upsilon
 
 
 def _cmd_cable_bounds(args) -> int:

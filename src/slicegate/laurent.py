@@ -547,11 +547,8 @@ def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
     if (fails := fox_milnor_det_check(abs(p.at_pm1(-1)))) is not None:
         return fails
 
-    q, unit = normalize(p)
-    factors, content = factor(q)
-    assert content == 1
-
-    counts = Counter(f.dense() for f in factors)
+    dense = p.dense()
+    counts = Counter(map(tuple, _factor_primitive(_primitive(dense))))
     half: list[tuple[int, ...]] = []
     for cs, k in sorted(counts.items()):
         star = _reciprocal(cs)
@@ -564,7 +561,9 @@ def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
         if cs <= star:
             half.extend([cs] * (k // 2 if star == cs else k))
 
-    witness = _from_dense(reduce(_poly_mul, half, [1]))
-    unit = unit * normalize(witness * witness.involute())[1].involute()  # 1/(+/-t^k) = +/-t^-k
+    w = reduce(_poly_mul, half, [1])
+    witness = _from_dense(w)
+    # +/-p / t^min_exp, signed to a positive lc, is w * w*, w* = sign(w(0)) t^deg(w) w(1/t)
+    unit = LaurentPoly({p.min_exp + len(w) - 1: 1 if (dense[-1] > 0) == (w[0] > 0) else -1})
     assert unit * witness * witness.involute() == p, "pairing accepted but the product differs"
     return FoxMilnorResult(True, witness=witness, unit=unit)

@@ -16,7 +16,7 @@ from . import seifert as _seifert
 from ._record import value_class
 from .bounds import GENUS_FLOOR, GenusBounds, Interval
 from .knotdb import KnotRecord
-from .laurent import FoxMilnorResult, LaurentPoly, fox_milnor, fox_milnor_det_check, normalize
+from .laurent import FoxMilnorResult, LaurentPoly, fox_milnor, fox_milnor_det_check
 from .plfunc import g4_lower_bound, oss_gamma4_lower_bound, upsilon_little
 from .whitehead import CompanionInvariants
 
@@ -340,8 +340,8 @@ def _aggregate_facts(facts: Facts) -> ObstructionReport:
     topological = smooth = "unknown"
     if facts.fm is not None and not facts.fm.passes:
         topological = "no"
-    elif facts.delta is not None and normalize(facts.delta)[0] == 1:
-        # Delta is a unit +/-t^k, the trivial Alexander polynomial up to units
+    elif facts.delta is not None and facts.delta.min_exp == facts.delta.max_exp:
+        # one term with Delta(1) = +/-1: a unit +/-t^k, the trivial Alexander polynomial
         topological = "yes"
         applied.append(AppliedRule(
             "freedman", "Freedman: trivial Alexander polynomial => topologically slice",
@@ -352,8 +352,9 @@ def _aggregate_facts(facts: Facts) -> ObstructionReport:
                     if smooth_note and (note := smooth_note(facts))]
     elif hi["g4"] == 0:
         smooth = topological = "yes"
-        applied.append(AppliedRule("stored-bounds", _STORED_ANCHOR,
-                                   "g4 = 0 declared: smoothly (hence topologically) slice"))
+        if facts.stored.g4 is not None and facts.stored.g4.hi == 0:
+            applied.append(AppliedRule("stored-bounds", _STORED_ANCHOR,
+                                       "g4 = 0 declared: smoothly (hence topologically) slice"))
 
     nonorientable = "unknown"
     if hi["gamma4"] == 1:

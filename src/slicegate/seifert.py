@@ -340,10 +340,10 @@ def _trace_poly(delta: LaurentPoly) -> list[int]:
     positive roots are the unit-circle roots of Delta with 0 < psi < pi.  Its
     top coefficient is Delta(-1), odd for a knot, so its degree is exactly m.
     """
-    m = delta.max_exp
+    cs, m = delta.dense(), delta.max_exp  # cs[m + k] is the coefficient of t^k
     out = [0] * (m + 1)
     for k in range(m + 1):
-        c = delta.coeffs.get(k, 0) * (2 if k else 1)
+        c = cs[m + k] * (2 if k else 1)
         if not c:
             continue
         re_part = [(-1) ** j * math.comb(2 * k, 2 * j) for j in range(k + 1)]

@@ -78,6 +78,8 @@ class CompanionInvariants(GenusBounds):
             raise ValueError(f"epsilon must be in {{-1, 0, 1}}, got {self.epsilon}")
         if self.s is not None and self.s % 2:
             raise ValueError(f"the s invariant is even, got {self.s}")
+        if self.upsilon is not None and self.upsilon.end != 2:
+            raise ValueError(f"upsilon is defined on [0, 2], got [0, {self.upsilon.end}]")
         if self.tau is not None and self.nu is not None:
             if self.nu not in (self.tau, self.tau + 1):
                 raise InvariantClashError(

@@ -13,7 +13,7 @@ from conftest import golden_corpus, make_valid_seifert, torus_2q_seifert
 from jsonschema import validate
 
 import slicegate
-from slicegate import cli, knotdb, laurent
+from slicegate import cli, knotdb, laurent, obstruct
 from slicegate import seifert as _seifert
 from slicegate.cli import main
 from slicegate.knotdb import KnotRecord
@@ -207,6 +207,17 @@ def test_obstruct_from_matrix_file(tmp_path, capsys):
     assert doc["bounds"]["gamma4"] == [2, 3]  # Yasuhara fires, crosscap upper
 
 
+def test_empty_matrix_file_is_slice_with_no_stored_bound(tmp_path, capsys):
+    # the 0 x 0 matrix file stores nothing: g4 <= 0 comes from its genus-0 Seifert surface
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 0, "entries": []}), encoding="utf-8")
+    code, out, _ = run(capsys, "obstruct", "--matrix-file", str(path))
+    assert code == 0
+    assert ("topologically slice: yes; smoothly slice: yes; "
+            "non-orientably slice (gamma4 = 1): yes") in out
+    assert "stored-bounds" not in out
+
+
 def test_invariants_malformed_matrix_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "entries": [[1, 0], [0, 1]]}))
@@ -257,11 +268,11 @@ def test_invariants_factors_delta_once(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({"n": 2 * n, "entries": both}), encoding="utf-8")
     calls = []
 
-    def counted(q, _factor=laurent.factor):
-        calls.append(q)
-        return _factor(q)
+    def counted(delta, _fox_milnor=obstruct.fox_milnor):
+        calls.append(delta)
+        return _fox_milnor(delta)
 
-    monkeypatch.setattr(laurent, "factor", counted)
+    monkeypatch.setattr(obstruct, "fox_milnor", counted)
     code, out, _ = run(capsys, "invariants", "--matrix-file", str(path), "--json")
     assert code == 0 and json.loads(out)["fox_milnor"]["passes"]
     assert len(calls) == 1
@@ -328,12 +339,13 @@ def test_import_and_show_roundtrip(tmp_path, capsys):
 
 def test_import_keeps_the_rest_of_a_table_past_a_bad_invariant(tmp_path, capsys):
     csv_path = tmp_path / "t.csv"
-    csv_path.write_text("knot,epsilon\nbad,2\ngood,1\n", encoding="utf-8")
+    csv_path.write_text("knot,epsilon\n,1\nbad,2\ngood,1\n", encoding="utf-8")
     code, out, err = run(capsys, "import", "--csv", str(csv_path), "--map", "name=knot",
                          "--map", "epsilon=epsilon", "--save", str(tmp_path / "store.json"))
     assert (code, err) == (0, "")
     assert "imported 2 record(s): bad, good" in out
-    assert "diagnostic: row 2: epsilon: unparseable cell '2'" in out
+    assert "diagnostic: row 2: skipped, no name\n" in out
+    assert "diagnostic: row 3: epsilon: unparseable cell '2'" in out
 
 
 @pytest.mark.parametrize("column,cell", [("s", "4"), ("epsilon", "1")])
@@ -385,6 +397,23 @@ def test_exact_rational_output(capsys):
 TREFOIL = {"n": 2, "entries": [[-1, 1], [0, -1]]}  # a valid matrix file
 
 
+def _store_with(**fields):
+    return {"format_version": 1, "records": [{"name": "k", **fields}]}
+
+
+# the error lines that a case pins exactly; {file} is the case's input file
+_MALFORMED_INPUT_ERROR = {
+    "import-empty-csv": "error: {file}: missing header row",
+    "import-map-without-equals": "error: --map expects FIELD=COLUMN, got 'namename'",
+    "invariants-record-without-matrix-or-delta":
+        "error: record 'k' carries no Seifert matrix or Alexander polynomial",
+    "cable-bounds-record-without-upsilon": "error: record 'k' stores no Upsilon function",
+    "invariants-no-source": "error: give NAME or --matrix-file",
+    "obstruct-no-source": "error: give NAME, --matrix-file or --all",
+    "cable-bounds-no-source": "error: give --zero, --upsilon-file or --upsilon-of",
+}
+
+
 @pytest.mark.parametrize("argv, document", [
     (["invariants", "4_1", "--omega", "1/0"], None),
     (["cobordism", "--from-upsilon", "1/0", "--to-upsilon", "0", "--euler", "0"], None),
@@ -419,6 +448,14 @@ TREFOIL = {"n": 2, "entries": [[-1, 1], [0, -1]]}  # a valid matrix file
     (["invariants", "--matrix-file", "{file}"], {**TREFOIL, "sigma": 5}),
     (["cable-bounds", "--p", "2", "--q", "1", "--upsilon-file", "{file}"],
      {"breakpoints": [[0, 0], [2, 0]], "tau": 0}),
+    (["import", "--csv", "{file}", "--map", "name=knot"], ""),
+    (["import", "--csv", "{file}", "--map", "namename"], "knot\nk\n"),
+    (["invariants", "k", "--store", "{file}"], _store_with(sigma=0)),
+    (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-of", "k", "--store", "{file}"],
+     _store_with(sigma=0)),
+    (["invariants"], None),
+    (["obstruct"], None),
+    (["cable-bounds", "--p", "2", "--q", "3"], None),
 ], ids=["omega-zero-denominator", "cobordism-zero-denominator",
         "euler-range-zero-denominator", "upsilon-file-zero-denominator",
         "matrix-file-without-entries", "matrix-file-entries-not-rows",
@@ -429,20 +466,23 @@ TREFOIL = {"n": 2, "entries": [[-1, 1], [0, -1]]}  # a valid matrix file
         "obstruct-name-and-matrix-file", "obstruct-all-and-matrix-file", "obstruct-all-and-name",
         "cable-bounds-zero-and-upsilon-of", "cable-bounds-zero-and-upsilon-file",
         "cable-bounds-upsilon-of-and-upsilon-file", "upsilon-file-string-coordinate",
-        "matrix-file-unknown-key", "upsilon-file-unknown-key"])
-def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document):
+        "matrix-file-unknown-key", "upsilon-file-unknown-key", "import-empty-csv",
+        "import-map-without-equals", "invariants-record-without-matrix-or-delta",
+        "cable-bounds-record-without-upsilon", "invariants-no-source", "obstruct-no-source",
+        "cable-bounds-no-source"])
+def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document, request):
+    # a str document is the file's text as it is; any other is written as JSON
     path = tmp_path / "input.json"
     if document is not None:
-        path.write_text(json.dumps(document), encoding="utf-8")
+        text = document if isinstance(document, str) else json.dumps(document)
+        path.write_text(text, encoding="utf-8")
     proc = run_python("-m", "slicegate.cli", *[str(path) if a == "{file}" else a for a in argv])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-
-
-def _store_with(**fields):
-    return {"format_version": 1, "records": [{"name": "k", **fields}]}
+    expected = _MALFORMED_INPUT_ERROR.get(request.node.callspec.id)
+    assert expected is None or lines[0] == expected.format(file=path), proc.stderr
 
 
 # the error lines that a case pins exactly
@@ -457,6 +497,11 @@ _MALFORMED_STORE_ERROR = {
     "upsilon-unknown-key": "error: record 'k': unknown key 'break' in a PL function",
     "document-unknown-key": "error: unknown key 'record' in the store",
     "matrix-unknown-key": "error: record 'k': unknown key 'entriez' in a Seifert matrix",
+    "sigma-odd": "error: record 'k': sigma: 3 is odd",
+    "arf-two": "error: record 'k': arf: 2 is not in {0, 1}",
+    "upsilon-end-half": "error: upsilon is defined on [0, 2], got [0, 1/2]",
+    "upsilon-end-one": "error: upsilon is defined on [0, 2], got [0, 1]",
+    "upsilon-end-three": "error: upsilon is defined on [0, 2], got [0, 3]",
 }
 
 
@@ -492,6 +537,10 @@ _MALFORMED_STORE_ERROR = {
     _store_with(invariants={"upsilon": {"breakpoints": [[0, 0], [2, 0]], "break": []}}),
     {"format_version": 1, "records": [], "record": []},
     _store_with(seifert_matrix={"n": 2, "entries": [[-1, 1], [0, -1]], "entriez": [[1]]}),
+    _store_with(sigma=3),
+    _store_with(arf=2),
+    *[_store_with(invariants={"tau": 1, "upsilon": {"breakpoints": [[0, 0], [end, -1]]}})
+      for end in ([1, 2], 1, 3)],
 ], ids=["document-not-object", "records-not-list", "records-missing", "record-not-object",
         "record-without-name", "alexander-not-terms", "alexander-null-coefficient",
         "invariants-not-object", "sigma-not-integer", "upsilon-breakpoint-exponent",
@@ -501,7 +550,8 @@ _MALFORMED_STORE_ERROR = {
         "upsilon-string-coordinate", "genus-three-items", "genus-empty-list",
         "genus-string", "provenance-integer-tag", "record-empty-name", "record-unknown-key",
         "invariants-unknown-key", "upsilon-unknown-key", "document-unknown-key",
-        "matrix-unknown-key"])
+        "matrix-unknown-key", "sigma-odd", "arf-two", "upsilon-end-half", "upsilon-end-one",
+        "upsilon-end-three"])
 def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document, request):
     path = tmp_path / "store.json"
     path.write_text(json.dumps(document), encoding="utf-8")

@@ -208,6 +208,20 @@ def test_fox_milnor_6_1_passes_with_witness():
     assert result.unit * w * w.involute() == delta
 
 
+@pytest.mark.parametrize("w", [D([-2, 1]), D([1, -2, 2])], ids=["w0-negative", "w0-positive"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("k", [-3, 0, 2])
+def test_fox_milnor_unit_is_the_closed_form(w, sign, k):
+    # p = sign * t^k * w(t) * w(1/t) has lc(p) = sign * lc(w) * w(0), so the four cases
+    # cover both signs of lc(p) and of w(0); the unit is +/-t^(min_exp(p) + deg w),
+    # signed like lc(p) * w(0)
+    p = T({k: sign}) * w * w.involute()
+    result = fox_milnor(p)
+    assert (result.passes, result.witness, result.unit) == (True, w, T({k: sign}))
+    lc, w0 = p.dense()[-1], w.dense()[0]
+    assert result.unit == T({p.min_exp + w.max_exp: 1 if lc * w0 > 0 else -1})
+
+
 def test_fox_milnor_rejects_non_alexander_input():
     with pytest.raises(InvalidAlexanderError):
         fox_milnor(T({1: 1, 0: 1}))  # p(1) = 2

@@ -13,6 +13,7 @@ from slicegate.laurent import LaurentPoly, fox_milnor
 from slicegate.obstruct import InconsistentBoundsError, aggregate, record_facts, yasuhara
 from slicegate.seifert import SeifertMatrix, alexander, determinant, signature
 from slicegate.whitehead import CompanionInvariants, WhiteheadParams, gamma4_whitehead
+from slicegate import laurent
 from slicegate import obstruct as obstruct_mod
 
 
@@ -118,6 +119,31 @@ def test_aggregate_monotone_under_added_information():
     b1 = aggregate(richer).bounds
     assert b1.g4.lo >= b0.g4.lo
     assert b0.g4.hi is None or b1.g4.hi <= b0.g4.hi
+
+
+def test_verdicts_neither_normalize_nor_factor(monkeypatch):
+    # Fox-Milnor and Freedman decide on the coefficients in hand, so the golden corpus
+    # and a K # -K matrix (whose Delta Fox-Milnor factors and pairs) build no polynomial
+    # only to take it apart
+    def refuse(*args):
+        raise AssertionError("the verdict path called normalize or factor")
+
+    monkeypatch.setattr(laurent, "normalize", refuse)
+    monkeypatch.setattr(laurent, "factor", refuse)
+    n = 4
+    entries = make_valid_seifert(random.Random(7), n)
+    mirror = [[-x for x in c] for c in zip(*entries)]
+    k_mk = KnotRecord(name="k_mk", seifert_matrix=SeifertMatrix(
+        [r + [0] * n for r in entries] + [[0] * n + r for r in mirror]))
+    rules = set()
+    for record in [*golden_corpus(), k_mk]:
+        try:
+            rules |= {r.rule for r in aggregate(record).applied_rules}
+        except InconsistentBoundsError:
+            continue
+    assert {"freedman", "fox-milnor"} <= rules
+    fm = record_facts(k_mk).fm
+    assert fm.passes and fm.witness.max_exp >= 1
 
 
 def test_aggregate_rule_order_independent(monkeypatch):
