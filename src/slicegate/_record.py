@@ -10,14 +10,10 @@ class default_factory:
         self.make = make
 
 
-class UnknownKeyError(ValueError):
-    """A JSON object holds a key that its class's to_json does not write."""
-
-
 def reject_unknown_keys(obj, keys, where: str):
-    """Raise UnknownKeyError naming obj's first key not in keys when obj is a JSON object."""
+    """Raise ValueError naming obj's first key not in keys when obj is a JSON object."""
     if isinstance(obj, dict) and (extra := [k for k in obj if k not in keys]):
-        raise UnknownKeyError(f"unknown key {extra[0]!r} in {where}")
+        raise ValueError(f"unknown key {extra[0]!r} in {where}")
 
 
 def _eq(self, other):

@@ -61,13 +61,20 @@ def _record_for(args) -> KnotRecord:
     return _load_store(args).lookup(args.name)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _write(parts) -> None:
+    """Write the parts and a final newline to stdout, one part at a time."""
     try:
-        print(json.dumps(payload, indent=2) if args.json else "\n".join(text_lines))
+        for part in parts:
+            sys.stdout.write(part)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left (`| head`): drop the rest, and let the flush at exit go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    _write([json.dumps(payload, indent=2) if args.json else "\n".join(text_lines)])
 
 
 def _interval_str(iv) -> str:
@@ -206,17 +213,24 @@ def _cmd_whitehead(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    from .obstruct import aggregate
+    from .obstruct import InconsistentBoundsError, aggregate
     if args.all:
-        store = _load_store(args)
-        reports = [aggregate(store.lookup(n)) for n in store.names()]
-        payload = {"reports": [r.to_json() for r in reports]}
-        lines = []
-        for r in reports:
-            lines += _report_lines(r)
-            lines.append("")
-        _emit(args, payload, lines[:-1] if lines else [])
-        return _exit_for(args, any(_verdict_obstructed(r) for r in reports))
+        # one report in flight: keep its text, re-indented one level (no JSON string holds a raw
+        # newline); the parts written after the last are json.dumps({"reports": [...]}, indent=2)
+        texts, obstructed = [], False
+        for rec in _load_store(args).records():
+            try:
+                r = aggregate(rec)
+            except InconsistentBoundsError as exc:
+                raise InconsistentBoundsError(f"record {rec.name!r}: {exc}") from None
+            obstructed = obstructed or _verdict_obstructed(r)
+            texts.append(("\n" + json.dumps(r.to_json(), indent=2)).replace("\n", "\n    ")
+                         if args.json else "\n".join(_report_lines(r)))
+        parts = [p for t in texts for p in ("," if args.json else "\n\n", t)][1:]
+        if args.json:
+            parts = ['{\n  "reports": [', *parts, "\n  ]\n}" if texts else "]\n}"]
+        _write(parts)
+        return _exit_for(args, obstructed)
     record = _record_for(args)
     report = aggregate(record)
     _emit(args, report.to_json(), _report_lines(report))

@@ -14,7 +14,7 @@ import os
 
 from . import seifert as _seifert
 from . import whitehead as _wh
-from ._record import UnknownKeyError, default_factory, reject_unknown_keys, value_class
+from ._record import default_factory, reject_unknown_keys, value_class
 from .bounds import GENUS_FLOOR, Interval
 from .laurent import InvalidAlexanderError, LaurentPoly, _wire_int, check_alexander
 from .plfunc import PLFunction
@@ -107,12 +107,13 @@ class KnotRecord:
         if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
             raise ValueError(f"a store record is a JSON object with a string 'name', "
                              f"got {obj!r}")
-        if not obj["name"]:
-            raise ValueError("record '': a store record's name must not be empty")
-        provenance = {} if obj.get("provenance") is None else obj["provenance"]
-        if not isinstance(provenance, dict) or not all(type(t) is str for t in provenance.values()):
-            raise ValueError(f"record {obj['name']!r}: provenance must map fields to strings")
         try:
+            if not obj["name"]:
+                raise ValueError("a store record's name must not be empty")
+            provenance = {} if obj.get("provenance") is None else obj["provenance"]
+            if not isinstance(provenance, dict) or not all(
+                    type(t) is str for t in provenance.values()):
+                raise ValueError("provenance must map fields to strings")
             reject_unknown_keys(obj, cls._fields, "the record")
             return cls(
                 name=obj["name"],
@@ -126,7 +127,7 @@ class KnotRecord:
                 arf=obj.get("arf"),
                 provenance=dict(provenance),
             )
-        except UnknownKeyError as exc:
+        except ValueError as exc:  # name the record: a store holds many
             raise ValueError(f"record {obj['name']!r}: {exc}") from None
 
 

@@ -115,6 +115,80 @@ def test_obstruct_batch_matches_single_reports(capsys):
         assert json.loads(single) == report
 
 
+def _batch_stores(tmp_path):
+    """Stores of no record, of one, and of the golden corpus less its two clashing records."""
+    empty, one, corpus = (tmp_path / f"{n}.json" for n in ("empty", "one", "corpus"))
+    empty.write_text(json.dumps({"format_version": 1, "records": []}), encoding="utf-8")
+    one.write_text(json.dumps(_store_with(sigma=2)), encoding="utf-8")
+    store = knotdb.KnotStore()
+    for record in golden_corpus():
+        if not record.name.startswith("clash-"):
+            store.add(record)
+    knotdb.save(store, corpus)
+    return [empty, one, corpus]
+
+
+def test_obstruct_all_writes_the_document_of_its_reports(tmp_path, capsys):
+    # the reports are written text by text, and the bytes are those of the whole document
+    obstructed = []
+    for path in _batch_stores(tmp_path):
+        reports = [aggregate(r) for r in knotdb.load(path).records()]
+        expected = {
+            "--json": json.dumps({"reports": [r.to_json() for r in reports]}, indent=2) + "\n",
+            "text": "\n\n".join("\n".join(cli._report_lines(r)) for r in reports) + "\n",
+        }
+        flag = any(cli._verdict_obstructed(r) for r in reports)
+        for mode, out in expected.items():
+            argv = ["obstruct", "--all", "--store", str(path), *([mode] if mode == "--json" else [])]
+            assert run(capsys, *argv) == (0, out, ""), (path.name, mode)
+            assert run(capsys, *argv, "--fail-on-obstruction") == (int(flag), out, "")
+        obstructed.append(flag)
+    assert obstructed == [False, True, True]
+
+
+def test_obstruct_all_renders_each_report_once_and_never_the_whole_document(
+        tmp_path, capsys, monkeypatch):
+    # json.dumps sees one report at a time, --json builds no text lines, text mode no JSON tree
+    path = _batch_stores(tmp_path)[2]
+    count = len(knotdb.load(path))
+    calls = {"dumps": [], "lines": 0, "to_json": 0}
+
+    def dumps(obj, _dumps=json.dumps, **kwargs):
+        calls["dumps"].append(obj)
+        return _dumps(obj, **kwargs)
+
+    def report_lines(report, _lines=cli._report_lines):
+        calls["lines"] += 1
+        return _lines(report)
+
+    def to_json(report, _to_json=obstruct.ObstructionReport.to_json):
+        calls["to_json"] += 1
+        return _to_json(report)
+
+    monkeypatch.setattr(cli.json, "dumps", dumps)
+    monkeypatch.setattr(cli, "_report_lines", report_lines)
+    monkeypatch.setattr(obstruct.ObstructionReport, "to_json", to_json)
+    assert run(capsys, "obstruct", "--all", "--json", "--store", str(path))[0] == 0
+    assert len(calls["dumps"]) == calls["to_json"] == count and calls["lines"] == 0
+    assert not any("reports" in obj for obj in calls["dumps"])
+    calls.update(dumps=[], to_json=0)
+    assert run(capsys, "obstruct", "--all", "--store", str(path))[0] == 0
+    assert calls["dumps"] == [] and calls["to_json"] == 0 and calls["lines"] == count
+
+
+def test_obstruct_all_names_the_record_whose_bounds_clash(tmp_path, capsys):
+    # 3_1's matrix has |sigma|/2 = 1 <= g4, against z's stored g4 = [0, 0]; nothing is written
+    path = tmp_path / "store.json"
+    records = [{"name": "a", "sigma": 0},
+               {"name": "z", "seifert_matrix": {"n": 2, "entries": [[-1, 1], [0, -1]]},
+                "invariants": {"g4": [0, 0]}}]
+    path.write_text(json.dumps({"format_version": 1, "records": records}), encoding="utf-8")
+    line = ("error: record 'z': g4: lower bound 1 from rule 'signature-bound' exceeds "
+            "upper bound 0 from rule 'stored-bounds'\n")
+    for mode in ([], ["--json"]):
+        assert run(capsys, "obstruct", "--all", "--store", str(path), *mode) == (2, "", line)
+
+
 def test_whitehead_odd_twist_report(capsys):
     code, out, _ = run(capsys, "whitehead", "--clasp", "+", "--twist", "3",
                        "--companion", "unknot", "--json")
@@ -487,9 +561,15 @@ def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document, 
 
 # the error lines that a case pins exactly
 _MALFORMED_STORE_ERROR = {
-    "genus-three-items": "error: an interval is an integer or [lo, hi], got [1, 2, 3]",
-    "genus-empty-list": "error: an interval is an integer or [lo, hi], got []",
-    "genus-string": "error: an interval is an integer or [lo, hi], got 'x'",
+    "genus-three-items": "error: record 'k': an interval is an integer or [lo, hi], "
+                         "got [1, 2, 3]",
+    "genus-empty-list": "error: record 'k': an interval is an integer or [lo, hi], got []",
+    "genus-string": "error: record 'k': an interval is an integer or [lo, hi], got 'x'",
+    "epsilon-two": "error: record 'k': epsilon must be in {-1, 0, 1}, got 2",
+    "matrix-string-entries": "error: record 'k': entries must be rows of integers",
+    "matrix-singular-skew-part": "error: record 'k': det(V - V^T) = 0, expected +/-1",
+    "alexander-not-terms": "error: record 'k': terms are [[coeff, exponent], ...] "
+                           "integer pairs, got 5",
     "provenance-integer-tag": "error: record 'k': provenance must map fields to strings",
     "record-empty-name": "error: record '': a store record's name must not be empty",
     "record-unknown-key": "error: record 'k': unknown key 'sigmaa' in the record",
@@ -499,9 +579,9 @@ _MALFORMED_STORE_ERROR = {
     "matrix-unknown-key": "error: record 'k': unknown key 'entriez' in a Seifert matrix",
     "sigma-odd": "error: record 'k': sigma: 3 is odd",
     "arf-two": "error: record 'k': arf: 2 is not in {0, 1}",
-    "upsilon-end-half": "error: upsilon is defined on [0, 2], got [0, 1/2]",
-    "upsilon-end-one": "error: upsilon is defined on [0, 2], got [0, 1]",
-    "upsilon-end-three": "error: upsilon is defined on [0, 2], got [0, 3]",
+    "upsilon-end-half": "error: record 'k': upsilon is defined on [0, 2], got [0, 1/2]",
+    "upsilon-end-one": "error: record 'k': upsilon is defined on [0, 2], got [0, 1]",
+    "upsilon-end-three": "error: record 'k': upsilon is defined on [0, 2], got [0, 3]",
 }
 
 
@@ -541,6 +621,8 @@ _MALFORMED_STORE_ERROR = {
     _store_with(arf=2),
     *[_store_with(invariants={"tau": 1, "upsilon": {"breakpoints": [[0, 0], [end, -1]]}})
       for end in ([1, 2], 1, 3)],
+    _store_with(invariants={"epsilon": 2}),
+    _store_with(seifert_matrix={"n": 2, "entries": [[1, 0], [0, 1]]}),
 ], ids=["document-not-object", "records-not-list", "records-missing", "record-not-object",
         "record-without-name", "alexander-not-terms", "alexander-null-coefficient",
         "invariants-not-object", "sigma-not-integer", "upsilon-breakpoint-exponent",
@@ -551,7 +633,7 @@ _MALFORMED_STORE_ERROR = {
         "genus-string", "provenance-integer-tag", "record-empty-name", "record-unknown-key",
         "invariants-unknown-key", "upsilon-unknown-key", "document-unknown-key",
         "matrix-unknown-key", "sigma-odd", "arf-two", "upsilon-end-half", "upsilon-end-one",
-        "upsilon-end-three"])
+        "upsilon-end-three", "epsilon-two", "matrix-singular-skew-part"])
 def test_malformed_store_is_one_error_line_and_exit_2(tmp_path, document, request):
     path = tmp_path / "store.json"
     path.write_text(json.dumps(document), encoding="utf-8")
