@@ -15,14 +15,14 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, count, zip_longest
 
 from ._record import value_class
 
 
 class InvalidAlexanderError(ValueError):
-    """The polynomial cannot be an Alexander polynomial (requires p(1) = +/-1)."""
+    """Not an Alexander polynomial, which needs p(1) = +/-1 and p(1/t) = +/-t^k p(t)."""
 
 
 def _wire_int(x) -> int:
@@ -248,6 +248,16 @@ def _poly_div_exact(num, den):
     if any(num):
         return None
     return q
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """Coefficients (ascending) of the m-th cyclotomic polynomial."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _poly_div_exact(poly, _cyclotomic(d))
+    return tuple(poly)
 
 
 def _primitive(cs):
@@ -532,19 +542,15 @@ def fox_milnor_det_check(det: int) -> FoxMilnorResult | None:
 def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
     """Decide whether p factors as f(t) * f(t^-1) up to a unit +/- t^k.
 
-    Slice knots satisfy this for their Alexander polynomial.  Rejects inputs
-    with p(1) != +/-1 (not an Alexander polynomial).  Runs the cheap
-    necessary check first: |p(-1)| must be an odd perfect square.  Otherwise
-    factors the unit-normalized polynomial and pairs each irreducible factor
-    g with its reciprocal t^deg(g) * g(t^-1); self-reciprocal factors must
-    occur with even multiplicity.  The content divides p(1) = +/-1, so it is 1.
+    Slice knots satisfy this for their Alexander polynomial.  p must be one
+    (check_alexander), else InvalidAlexanderError.  Runs the cheap necessary
+    check first: |p(-1)| must be an odd perfect square.  Otherwise factors
+    the unit-normalized polynomial; self-reciprocal factors must occur with
+    even multiplicity.  Any other irreducible factor g pairs with its
+    reciprocal t^deg(g) * g(t^-1): p is symmetric, so by unique factorization
+    both occur equally often.  The content divides p(1) = +/-1, so it is 1.
     """
-    if not p:
-        raise InvalidAlexanderError("the zero polynomial is not an Alexander polynomial")
-    v1 = p.at_pm1(1)
-    if v1 not in (1, -1):
-        raise InvalidAlexanderError(f"p(1) = {v1}, expected +/-1")
-    if (fails := fox_milnor_det_check(abs(p.at_pm1(-1)))) is not None:
+    if (fails := fox_milnor_det_check(abs(check_alexander(p).at_pm1(-1)))) is not None:
         return fails
 
     dense = p.dense()
@@ -555,9 +561,6 @@ def fox_milnor(p: LaurentPoly) -> FoxMilnorResult:
         if star == cs and k % 2:
             return FoxMilnorResult(
                 False, reason=f"self-reciprocal factor {_from_dense(cs)} has odd multiplicity {k}")
-        if star != cs and counts[star] != k:
-            return FoxMilnorResult(False, reason=f"factor {_from_dense(cs)} does not pair with "
-                                                 f"its reciprocal {_from_dense(star)}")
         if cs <= star:
             half.extend([cs] * (k // 2 if star == cs else k))
 

@@ -153,7 +153,7 @@ def cable_sandwich(f: PLFunction, p: int, q: int) -> tuple[PLFunction, PLFunctio
     if math.gcd(p, q) != 1:
         raise ValueError(f"p = {p} and q = {q} are not coprime")
     if f.end != 2:
-        raise ValueError("companion Upsilon must be defined on [0, 2]")
+        raise ValueError(f"upsilon is defined on [0, 2], got [0, {f.end}]")
     c_low = Fraction((p - 1) * (q + 1), 2)
     c_up = Fraction((p - 1) * (q - 1), 2)
     lower = PLFunction([(s / p, v - c_low * s / p) for s, v in f.breakpoints])

@@ -20,11 +20,10 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
 from ._record import reject_unknown_keys
-from .laurent import (LaurentPoly, _poly_div_exact, _poly_mul, _sturm_chain, _wire_int,
-                      check_alexander)
+from .laurent import (LaurentPoly, _cyclotomic, _poly_div_exact, _poly_mul, _sturm_chain,
+                      _wire_int, check_alexander)
 from .plfunc import _frac
 
 
@@ -322,16 +321,6 @@ def arf_murasugi(delta: LaurentPoly) -> int:
 # -- Levine-Tristram ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(m: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the m-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _poly_div_exact(poly, _cyclotomic(d))
-    return tuple(poly)
-
-
 def _trace_poly(delta: LaurentPoly) -> list[int]:
     """E(s) = (1 + s)^m * Delta(e^(i*psi)) with s = tan(psi/2)^2, m = max exponent of Delta.
 
@@ -455,8 +444,6 @@ def levine_tristram(v: SeifertMatrix, omega) -> int | None:
     w = min(w, 1 - w)
     if w == Fraction(1, 2):  # never singular: Delta(-1) = +/-det(V + V^T) is odd
         return signature(v)
-    if v.n == 0:
-        return 0
     delta = alexander(v)
     cs = delta.dense()
     # Phi_q has degree phi(q) >= sqrt(q/2), so it cannot divide Delta when q > 2 deg^2

@@ -197,9 +197,8 @@ def realified_levine_tristram(entries, omega):
     (S = V + V^T, A = V - V^T), the realification of aS - i*bA, whose
     signature is twice the Hermitian one.  None when singular.
     """
-    from slicegate.laurent import _sturm_chain
-    from slicegate.seifert import (SeifertMatrix, _cyclotomic, _signature_int, _trace_poly,
-                                   alexander, signature)
+    from slicegate.laurent import _cyclotomic, _sturm_chain
+    from slicegate.seifert import SeifertMatrix, _signature_int, _trace_poly, alexander, signature
 
     v = SeifertMatrix(entries)
     w = Fraction(omega) % 1

@@ -485,6 +485,7 @@ _MALFORMED_INPUT_ERROR = {
     "invariants-no-source": "error: give NAME or --matrix-file",
     "obstruct-no-source": "error: give NAME, --matrix-file or --all",
     "cable-bounds-no-source": "error: give --zero, --upsilon-file or --upsilon-of",
+    "upsilon-file-end-one": "error: upsilon is defined on [0, 2], got [0, 1]",
 }
 
 
@@ -530,6 +531,8 @@ _MALFORMED_INPUT_ERROR = {
     (["invariants"], None),
     (["obstruct"], None),
     (["cable-bounds", "--p", "2", "--q", "3"], None),
+    (["cable-bounds", "--p", "2", "--q", "3", "--upsilon-file", "{file}"],
+     {"breakpoints": [[0, 0], [1, 0]]}),
 ], ids=["omega-zero-denominator", "cobordism-zero-denominator",
         "euler-range-zero-denominator", "upsilon-file-zero-denominator",
         "matrix-file-without-entries", "matrix-file-entries-not-rows",
@@ -543,7 +546,7 @@ _MALFORMED_INPUT_ERROR = {
         "matrix-file-unknown-key", "upsilon-file-unknown-key", "import-empty-csv",
         "import-map-without-equals", "invariants-record-without-matrix-or-delta",
         "cable-bounds-record-without-upsilon", "invariants-no-source", "obstruct-no-source",
-        "cable-bounds-no-source"])
+        "cable-bounds-no-source", "upsilon-file-end-one"])
 def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, argv, document, request):
     # a str document is the file's text as it is; any other is written as JSON
     path = tmp_path / "input.json"

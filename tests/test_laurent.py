@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -11,8 +12,8 @@ from conftest import factor_kronecker
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slicegate.laurent import (InvalidAlexanderError, LaurentPoly, _poly_mul, factor, fox_milnor,
-                               normalize)
+from slicegate.laurent import (InvalidAlexanderError, LaurentPoly, _poly_mul, _reciprocal, factor,
+                               fox_milnor, normalize)
 
 T = LaurentPoly  # shorthand for literals
 
@@ -227,6 +228,8 @@ def test_fox_milnor_rejects_non_alexander_input():
         fox_milnor(T({1: 1, 0: 1}))  # p(1) = 2
     with pytest.raises(InvalidAlexanderError):
         fox_milnor(T.zero())
+    with pytest.raises(InvalidAlexanderError, match="not symmetric"):
+        fox_milnor(D([-1, 2]) * D([-1, 2]) * D([-1, 2]) * D([-2, 1]))  # (2t - 1)^3 (t - 2)
 
 
 def test_fox_milnor_square_of_self_reciprocal_passes():
@@ -234,16 +237,15 @@ def test_fox_milnor_square_of_self_reciprocal_passes():
     assert fox_milnor(q * q.involute()).passes
 
 
-def test_fox_milnor_determinant_square_but_pairing_fails():
-    # (2t-1)^3 (t-2): p(1) = -1 and |p(-1)| = 81 survives the determinant
-    # pre-check, but the factor (2t-1) appears thrice against one reciprocal
+def test_fox_milnor_non_symmetric_square_determinant_raises_and_odd_quartic_fails():
+    # (2t-1)^3 (t-2): p(1) = -1 and |p(-1)| = 81 would survive the determinant
+    # pre-check, but p is not symmetric, so it is no Alexander polynomial
     g = D([-1, 2])
     gstar = D([-2, 1])
     p = g * g * g * gstar
-    assert abs(int(p.evaluate(-1))) == 81
-    result = fox_milnor(p)
-    assert not result.passes
-    assert "pair" in result.reason
+    assert (p.at_pm1(1), abs(p.at_pm1(-1))) == (-1, 81)
+    with pytest.raises(InvalidAlexanderError, match="not symmetric"):
+        fox_milnor(p)
 
     # irreducible self-reciprocal quartic with odd multiplicity: |p(-1)| = 9
     quartic = D([1, 2, -7, 2, 1])
@@ -384,3 +386,37 @@ def test_fox_milnor_fails_on_an_odd_power_of_a_self_reciprocal_factor(odd, k, g_
     result = fox_milnor(delta)
     assert not result.passes
     assert result.reason == f"self-reciprocal factor {odd} has odd multiplicity {k}"
+
+
+SELF_RECIPROCAL = [D([1, -1, 1]), D([1, -3, 1]), D([2, -3, 2]), D([1, -1, 1, -1, 1]),
+                   D([1, 0, -1, 0, 1]), D([1, 2, -7, 2, 1])]
+
+
+def test_fox_milnor_on_symmetric_products_matches_the_kronecker_factors():
+    # p = +/-t^k * prod f_i^a_i * (f_i*)^b_i, kept when palindromic: fox_milnor passes
+    # exactly when every self-reciprocal irreducible factor has even multiplicity, every
+    # other factor occurs as often as its reciprocal, and a pass rebuilds p
+    rng = random.Random(31)
+    checked = 0
+    while checked < 200:
+        p = T({rng.randint(-3, 3): rng.choice([1, -1])})
+        for _ in range(rng.randint(1, 3)):
+            f = _with_f_one(rng, rng.randint(1, 3))
+            a = rng.randint(0, 2)
+            b = a if rng.random() < 0.8 else rng.randint(0, 2)
+            p = reduce(operator.mul, [f] * a + [f.involute()] * b, p)
+        for _ in range(rng.randint(0, 2)):
+            p = reduce(operator.mul, [rng.choice(SELF_RECIPROCAL)] * rng.randint(1, 3), p)
+        cs = p.dense()
+        if cs != cs[::-1] or len(cs) > 13:
+            continue
+        checked += 1
+        counts = Counter(g.dense() for g in factor_kronecker(normalize(p)[0])[0])
+        assert all(counts[_reciprocal(g)] == k for g, k in counts.items()), p
+        even = all(k % 2 == 0 for g, k in counts.items() if _reciprocal(g) == g)
+        result = fox_milnor(p)
+        assert result.passes == even, p
+        if even:
+            w, unit = result.witness, result.unit
+            assert len(unit.coeffs) == 1 and abs(unit.dense()[0]) == 1
+            assert unit * w * w.involute() == p

@@ -72,6 +72,7 @@ def test_value_class_defaults_are_fresh_per_instance():
     (lambda: Interval(2, 1), ValueError),
     (lambda: Verdict("maybe"), ValueError),
     (lambda: Verdict(topologically_slice="unknown", smoothly_slice="yes"), ValueError),
+    (lambda: Verdict(topologically_slice="no", smoothly_slice="unknown"), ValueError),
     (lambda: Interval(), TypeError),
     (lambda: Interval(1, 2, 3), TypeError),
     (lambda: Interval(1, lo=1), TypeError),

@@ -251,6 +251,25 @@ def test_sign_changes_on_integers_match_the_fraction_values():
         assert all(_poly_eval(chain[0], u * u) for u in [Fraction(0)] + points)
 
 
+@pytest.mark.parametrize("k, bits", [(20, 128), (40, 256)])
+def test_compare_tan_doubles_its_precision_near_tan_pi_over_3(monkeypatch, k, bits):
+    # u = floor(sqrt(3) * 10^k) / 10^k lies within 10^-k below tan(pi/3) = sqrt(3), so 64
+    # bits of arctan cannot separate them; u > 1 also takes the reflection to 1/u and 1/6
+    seen = []
+
+    def bounded(a, b, precision, _kernel=_seifert._atan_bounds):
+        seen.append(precision)
+        return _kernel(a, b, precision)
+
+    monkeypatch.setattr(_seifert, "_atan_bounds", bounded)
+    u = Fraction(math.isqrt(3 * 10 ** (2 * k)), 10 ** k)
+    side = (u * u > 3) - (u * u < 3)
+    assert side == -1
+    assert _seifert._compare_tan(u, Fraction(1, 3)) == side
+    assert max(seen) == bits
+    assert _seifert._compare_tan(1 / u, Fraction(1, 6)) == -side
+
+
 def test_levine_tristram_matches_realified_oracle(monkeypatch):
     # the n x n Hermitian form against half the signature of the 2n x 2n real one.
     # Sturm counts at s = 0 and +infinity settle an omega when Delta has no root on the
@@ -865,7 +884,9 @@ def test_levine_tristram_examples():
     assert levine_tristram(V_TREFOIL, "1/6") is None
     assert levine_tristram(V_TREFOIL, "1/3") == -2
     assert levine_tristram(V_FIG8, "1/4") == 0
-    assert levine_tristram(UNKNOT, "1/3") == 0
+    # the 0 x 0 matrix takes the general path: Delta = 1, whose end arcs are the whole circle
+    for w in ("1/3", "2/5", "1/4", "1/7", "3/7"):
+        assert levine_tristram(UNKNOT, w) == 0
 
 
 def test_levine_tristram_jump_at_the_alexander_root():
