@@ -215,8 +215,8 @@ def _cmd_whitehead(args) -> int:
 def _cmd_obstruct(args) -> int:
     from .obstruct import InconsistentBoundsError, aggregate
     if args.all:
-        # one report in flight: keep its text, re-indented one level (no JSON string holds a raw
-        # newline); the parts written after the last are json.dumps({"reports": [...]}, indent=2)
+        # one report in flight: keep its text, indented one level; the parts written after
+        # the last are json.dumps({"reports": [...]}, indent=2)
         texts, obstructed = [], False
         for rec in _load_store(args).records():
             try:
@@ -224,8 +224,8 @@ def _cmd_obstruct(args) -> int:
             except InconsistentBoundsError as exc:
                 raise InconsistentBoundsError(f"record {rec.name!r}: {exc}") from None
             obstructed = obstructed or _verdict_obstructed(r)
-            texts.append(("\n" + json.dumps(r.to_json(), indent=2)).replace("\n", "\n    ")
-                         if args.json else "\n".join(_report_lines(r)))
+            texts.append("\n    " + r.json_text("    ") if args.json
+                         else "\n".join(_report_lines(r)))
         parts = [p for t in texts for p in ("," if args.json else "\n\n", t)][1:]
         if args.json:
             parts = ['{\n  "reports": [', *parts, "\n  ]\n}" if texts else "]\n}"]
@@ -233,7 +233,7 @@ def _cmd_obstruct(args) -> int:
         return _exit_for(args, obstructed)
     record = _record_for(args)
     report = aggregate(record)
-    _emit(args, report.to_json(), _report_lines(report))
+    _write([report.json_text() if args.json else "\n".join(_report_lines(report))])
     return _exit_for(args, _verdict_obstructed(report))
 
 

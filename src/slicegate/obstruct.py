@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import seifert as _seifert
 from ._record import value_class
@@ -303,6 +304,30 @@ class ObstructionReport:
             "applied_rules": [r.to_json() for r in self.applied_rules],
             "notes": [],  # kept for the wire format; no rule writes a note
         }
+
+    def json_text(self, pad: str = "") -> str:
+        """json.dumps(self.to_json(), indent=2), each line after the first prefixed by pad.
+
+        It writes the schema in to_json's key order and passes each string leaf to the
+        C function json.dumps itself calls, since its indent=2 path is pure Python.
+        """
+        n1, n2, n3 = (f"\n{pad}" + " " * k for k in (2, 4, 6))
+
+        def strings(obj, keys, close):  # an object of string leaves, keys in field order
+            return "{" + ",".join(f'{keys}"{k}": {_json_str(getattr(obj, k))}'
+                                  for k in obj._fields) + close + "}"
+
+        def interval(iv):
+            if iv is None:
+                return "null"
+            return f"[{n3}{iv.lo},{n3}{'null' if iv.hi is None else iv.hi}{n2}]"
+
+        bounds = ",".join(f'{n2}"{q}": {interval(getattr(self.bounds, q))}' for q in GENUS_FLOOR)
+        rules = ",".join(n2 + strings(r, n3, n2) for r in self.applied_rules)
+        rules = f"[{rules}{n1}]" if rules else "[]"
+        return (f'{{{n1}"name": {_json_str(self.name)},{n1}"bounds": {{{bounds}{n1}}},'
+                f'{n1}"verdict": {strings(self.verdict, n2, n1)},'
+                f'{n1}"applied_rules": {rules},{n1}"notes": []\n{pad}}}')
 
 
 def aggregate(record: KnotRecord) -> ObstructionReport:

@@ -18,13 +18,14 @@ def _frac(x) -> Fraction:
     """Coerce ints, Fractions, 'p/q' strings and [num, den] pairs to Fraction.
 
     Anything else, including a zero denominator, is a ValueError.  So is a
-    string with an exponent: Fraction('1e-9999999') would build 10^9999999.
+    string with an exponent (Fraction('1e-9999999') would build 10^9999999),
+    an underscore or a non-ASCII character, which Fraction reads as digits.
     """
     try:
         if isinstance(x, (tuple, list)) and len(x) == 2 and bool not in map(type, x):
             return Fraction(*x)  # a float or string in the pair is a TypeError
-        exponent = isinstance(x, str) and ("e" in x or "E" in x)
-        if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool) and not exponent:
+        refused = isinstance(x, str) and (not x.isascii() or any(c in "eE_" for c in x))
+        if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool) and not refused:
             return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError):
         pass

@@ -109,10 +109,11 @@ def test_obstruct_batch_matches_single_reports(capsys):
     reports = json.loads(out)["reports"]
     names = [r["name"] for r in reports]
     assert names == sorted(names)
+    store = knotdb.seed_table()
     for report in reports:
-        code, single, _ = run(capsys, "obstruct", report["name"], "--json")
-        assert code == 0
-        assert json.loads(single) == report
+        expected = json.dumps(aggregate(store.lookup(report["name"])).to_json(), indent=2) + "\n"
+        assert run(capsys, "obstruct", report["name"], "--json") == (0, expected, "")
+        assert json.loads(expected) == report
 
 
 def _batch_stores(tmp_path):
@@ -148,10 +149,11 @@ def test_obstruct_all_writes_the_document_of_its_reports(tmp_path, capsys):
 
 def test_obstruct_all_renders_each_report_once_and_never_the_whole_document(
         tmp_path, capsys, monkeypatch):
-    # json.dumps sees one report at a time, --json builds no text lines, text mode no JSON tree
+    # --json writes each report with json_text and json.dumps sees no report and no document;
+    # text mode builds each report's lines and no JSON text; neither builds a report's dict
     path = _batch_stores(tmp_path)[2]
     count = len(knotdb.load(path))
-    calls = {"dumps": [], "lines": 0, "to_json": 0}
+    calls = {"dumps": [], "lines": 0, "json_text": 0, "to_json": 0}
 
     def dumps(obj, _dumps=json.dumps, **kwargs):
         calls["dumps"].append(obj)
@@ -161,19 +163,25 @@ def test_obstruct_all_renders_each_report_once_and_never_the_whole_document(
         calls["lines"] += 1
         return _lines(report)
 
-    def to_json(report, _to_json=obstruct.ObstructionReport.to_json):
-        calls["to_json"] += 1
-        return _to_json(report)
+    def counted(name, method):
+        def call(report, *args):
+            calls[name] += 1
+            return method(report, *args)
+        return call
 
     monkeypatch.setattr(cli.json, "dumps", dumps)
     monkeypatch.setattr(cli, "_report_lines", report_lines)
-    monkeypatch.setattr(obstruct.ObstructionReport, "to_json", to_json)
+    for name in ("json_text", "to_json"):
+        method = getattr(obstruct.ObstructionReport, name)
+        monkeypatch.setattr(obstruct.ObstructionReport, name, counted(name, method))
     assert run(capsys, "obstruct", "--all", "--json", "--store", str(path))[0] == 0
-    assert len(calls["dumps"]) == calls["to_json"] == count and calls["lines"] == 0
-    assert not any("reports" in obj for obj in calls["dumps"])
-    calls.update(dumps=[], to_json=0)
+    assert (calls["json_text"], calls["lines"], calls["to_json"]) == (count, 0, 0)
+    assert not any(isinstance(obj, dict) and {"applied_rules", "reports"} & obj.keys()
+                   for obj in calls["dumps"])
+    calls.update(dumps=[], json_text=0)
     assert run(capsys, "obstruct", "--all", "--store", str(path))[0] == 0
-    assert calls["dumps"] == [] and calls["to_json"] == 0 and calls["lines"] == count
+    assert (calls["json_text"], calls["lines"], calls["to_json"]) == (0, count, 0)
+    assert calls["dumps"] == []
 
 
 def test_obstruct_all_names_the_record_whose_bounds_clash(tmp_path, capsys):
@@ -279,6 +287,8 @@ def test_obstruct_from_matrix_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["name"] == "pattern5"
     assert doc["bounds"]["gamma4"] == [2, 3]  # Yasuhara fires, crosscap upper
+    record = KnotRecord(name="pattern5", seifert_matrix=_seifert.SeifertMatrix([[-1, 1], [0, 5]]))
+    assert out == json.dumps(aggregate(record).to_json(), indent=2) + "\n"
 
 
 def test_empty_matrix_file_is_slice_with_no_stored_bound(tmp_path, capsys):
@@ -466,6 +476,25 @@ def test_exact_rational_output(capsys):
                        "--to-upsilon=-1/2", "--euler", "-2")
     assert code == 0
     assert "1/2" in out and "." not in out.replace("...", "")
+
+
+@pytest.mark.parametrize("value", ["1_0", "1/2_0", "\u0661/\u0662"],
+                         ids=["underscore", "underscore-in-denominator", "arabic-indic-digits"])
+@pytest.mark.parametrize("argv", [
+    ["cobordism", "--from-upsilon", "{v}", "--to-upsilon", "0", "--euler", "0"],
+    ["euler-range", "--upsilon", "{v}", "--q", "1"],
+    ["invariants", "4_1", "--omega", "{v}"],
+], ids=["from-upsilon", "upsilon", "omega"])
+def test_a_rational_is_read_only_from_ascii_without_underscores(capsys, argv, value):
+    # Fraction alone would read 1_0 as 10, 1/2_0 as 1/20 and Arabic-Indic digits as 1/2
+    argv = [value if a == "{v}" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: cannot interpret {value!r} as a rational\n")
+
+
+def test_a_decimal_rational_is_exact(capsys):
+    code, out, _ = run(capsys, "cobordism", "--from-upsilon", "1.5", "--to-upsilon", "0",
+                       "--euler", "0", "--json")
+    assert code == 0 and json.loads(out)["upsilon_start"] == "3/2"
 
 
 TREFOIL = {"n": 2, "entries": [[-1, 1], [0, -1]]}  # a valid matrix file

@@ -1,16 +1,20 @@
 """The obstruction aggregation engine: rules, verdicts, consistency."""
 
+import itertools
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import golden_corpus, make_valid_seifert
-from slicegate.bounds import Interval
+from slicegate.bounds import GENUS_FLOOR, GenusBounds, Interval
 from slicegate.knotdb import KnotRecord, seed_table, whitehead_double_record
 from slicegate.laurent import LaurentPoly, fox_milnor
-from slicegate.obstruct import InconsistentBoundsError, aggregate, record_facts, yasuhara
+from slicegate.obstruct import (AppliedRule, InconsistentBoundsError, ObstructionReport, Verdict,
+                                aggregate, record_facts, yasuhara)
 from slicegate.seifert import SeifertMatrix, alexander, determinant, signature
 from slicegate.whitehead import CompanionInvariants, WhiteheadParams, gamma4_whitehead
 from slicegate import laurent
@@ -290,3 +294,50 @@ def test_aggregate_does_not_depend_on_a_memoized_alexander():
                 assert reports[0] == reports[1], matrix
                 squares.add(math.isqrt(d := determinant(SeifertMatrix(matrix))) ** 2 == d)
     assert squares == {False, True}
+
+
+def _indent_2_text(report, pad):
+    """The oracle for json_text: the stdlib's indent=2 document, lines after the first padded."""
+    return json.dumps(report.to_json(), indent=2).replace("\n", "\n" + pad)
+
+
+@pytest.mark.parametrize("pad", ["", "    "])
+def test_json_text_is_the_indent_2_text_of_every_golden_report(pad):
+    # every corpus record aggregates but the two whose bounds clash
+    reports = [aggregate(r) for r in golden_corpus() if not r.name.startswith("clash-")]
+    for report in reports:
+        assert report.json_text(pad) == _indent_2_text(report, pad), report.name
+
+
+def _verdict_or_none(values):
+    try:
+        return Verdict(*values)
+    except ValueError:
+        return None
+
+
+_VERDICTS = [v for values in itertools.product(("yes", "no", "unknown"), repeat=3)
+             if (v := _verdict_or_none(values))]
+# names and rule strings with quotes, backslashes, control characters and non-ASCII
+_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\xe9\u2028\ud800\U0001f600ab')
+
+
+def _interval(floor):
+    def interval(lo, width):
+        return Interval(lo, None if width is None else lo + width)
+    return st.none() | st.builds(interval, st.integers(floor, 10 ** 30),
+                                 st.none() | st.integers(0, 10 ** 30))
+
+
+_REPORTS = st.builds(
+    ObstructionReport,
+    name=_TEXT,
+    bounds=st.builds(GenusBounds, **{q: _interval(floor) for q, floor in GENUS_FLOOR.items()}),
+    verdict=st.sampled_from(_VERDICTS),
+    applied_rules=st.lists(st.builds(AppliedRule, _TEXT, _TEXT, _TEXT), max_size=4).map(tuple),
+)
+
+
+@given(_REPORTS, st.sampled_from(["", "    "]))
+def test_json_text_is_the_indent_2_text_of_any_report(report, pad):
+    assert report.json_text(pad) == _indent_2_text(report, pad)
