@@ -363,6 +363,16 @@ def _cmd_show(args) -> int:
 # parser
 
 
+def _json_int(text: str) -> int:
+    """An integer option, read as a JSON integer like a CSV cell: int() takes 1_0 and +2 too."""
+    try:
+        if type(value := json.loads(text)) is int:
+            return value
+    except (ValueError, RecursionError):  # json.loads on deeply nested brackets
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once and shared by every main() call in a process.
@@ -392,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("whitehead", parents=[common],
                        help="full report for a twisted Whitehead double")
     p.add_argument("--clasp", required=True, choices=["+", "-"])
-    p.add_argument("--twist", required=True, type=int)
-    p.add_argument("--framing", type=int, default=0)
+    p.add_argument("--twist", required=True, type=_json_int)
+    p.add_argument("--framing", type=_json_int, default=0)
     p.add_argument("--companion", required=True)
     p.set_defaults(fn=_cmd_whitehead)
 
@@ -406,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cable-bounds", parents=[common],
                        help="Upsilon envelopes for a (p, q)-cable")
-    p.add_argument("--p", required=True, type=int)
-    p.add_argument("--q", required=True, type=int)
+    p.add_argument("--p", required=True, type=_json_int)
+    p.add_argument("--q", required=True, type=_json_int)
     p.add_argument("--upsilon-of", help="knot name whose stored Upsilon to use")
     p.add_argument("--upsilon-file", help="JSON PL-function file")
     p.add_argument("--zero", action="store_true", help="use the zero Upsilon function")
@@ -417,14 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the upsilon/Euler-number cobordism inequality")
     p.add_argument("--from-upsilon", required=True, help="v(K0) as p/q")
     p.add_argument("--to-upsilon", required=True, help="v(K1) as p/q")
-    p.add_argument("--euler", required=True, type=int, help="normal Euler number e(F)")
-    p.add_argument("--betti", type=int, default=1, help="b1 of the cobordism surface")
+    p.add_argument("--euler", required=True, type=_json_int, help="normal Euler number e(F)")
+    p.add_argument("--betti", type=_json_int, default=1, help="b1 of the cobordism surface")
     p.set_defaults(fn=_cmd_cobordism)
 
     p = sub.add_parser("euler-range", parents=[common],
                        help="allowed normal Euler numbers for a double-to-cable cobordism")
     p.add_argument("--upsilon", required=True, help="v of the double as p/q")
-    p.add_argument("--q", required=True, type=int, help="odd cable parameter")
+    p.add_argument("--q", required=True, type=_json_int, help="odd cable parameter")
     p.set_defaults(fn=_cmd_euler_range)
 
     p = sub.add_parser("import", parents=[common], help="ingest a CSV invariant table")

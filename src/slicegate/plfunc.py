@@ -17,14 +17,14 @@ from ._record import reject_unknown_keys, value_class
 def _frac(x) -> Fraction:
     """Coerce ints, Fractions, 'p/q' strings and [num, den] pairs to Fraction.
 
-    Anything else, including a zero denominator, is a ValueError.  So is a
-    string with an exponent (Fraction('1e-9999999') would build 10^9999999),
-    an underscore or a non-ASCII character, which Fraction reads as digits.
+    Anything else, including a zero denominator, is a ValueError.  So is a string
+    with any character but ASCII digits, '-', '/' and '.' that Fraction would take: an
+    exponent ('1e-9999999' builds 10^9999999), '_', '+', a blank or a non-ASCII digit.
     """
     try:
         if isinstance(x, (tuple, list)) and len(x) == 2 and bool not in map(type, x):
             return Fraction(*x)  # a float or string in the pair is a TypeError
-        refused = isinstance(x, str) and (not x.isascii() or any(c in "eE_" for c in x))
+        refused = isinstance(x, str) and not set(x) <= set("0123456789-/.")
         if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool) and not refused:
             return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError):

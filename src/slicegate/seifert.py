@@ -7,16 +7,15 @@ determinant det(V + V^T), whence the Arf invariant by Levine's criterion;
 over the Gaussian integers on the n x n Hermitian form taken on the same arc
 of the unit circle it gives each Levine-Tristram signature of an interior arc.
 det(V - t V^T) comes from the characteristic polynomial of the small integer matrix
-W = (V - V^T)^-1 V, reduced left-looking to Hessenberg form modulo the one
-tabled prime that a Hadamard bound sizes.  Every other determinant is one Bareiss
-elimination: det(V - V^T) = 1 checks the Seifert form, and that of V - t0 V^T, t0 past
-a root bound, a given Delta.  sigma with det(V + V^T), Delta and the Sturm
-chain that Levine-Tristram signatures share are each computed at most once per matrix.
+W = (V - V^T)^-1 V, reduced left-looking to Hessenberg form modulo the first odd m > 2B
+(B a Hadamard bound) coprime to 999! at which every pivot is a unit.  Every other
+determinant is one Bareiss elimination: det(V - V^T) = 1 checks the Seifert form, and that
+of V - t0 V^T, t0 past a root bound, a given Delta.  sigma with det(V + V^T), Delta and the
+Sturm chain that Levine-Tristram signatures share are each computed at most once per matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -175,41 +174,35 @@ def determinant(v: SeifertMatrix) -> int:
     return abs(v._det)
 
 
-# alexander reads Delta modulo the narrowest prime above 2B, in this order.  Past 2^255 - 19:
-# the Mersenne primes, and 2^e - k, k least odd, for e = 128j <= 2048 but 512 and 1280
-_PRIMES = (*((1 << e) - 1 for e in (13, 17, 19, 31, 61, 89, 107, 127)), 2**192 - 2**64 - 1,
-           2**224 - 2**96 + 1, *((1 << e) - k for e, k in (
-               (255, 19), (384, 317), (521, 1), (607, 1), (640, 305), (768, 825), (896, 213),
-               (1024, 105), (1152, 927), (1279, 1), (1408, 413), (1536, 3453), (1664, 1233),
-               (1792, 963), (1920, 1503), (2048, 1557), (2203, 1))))
-_MERSENNE_WIDE = (2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243,
-                  110503, 132049, 216091, 756839, 859433)
+# alexander's moduli share no factor with it, so each is at least 1009
+_SMALL = math.factorial(999)
 
 
-def _charpoly_mod(w, p: int) -> list[int]:
-    """det(xI - W) mod the prime p, ascending, for a square integer matrix W (permuted in place).
+def _charpoly_mod(w, m: int) -> list[int]:
+    """det(xI - W) mod m, ascending, for a square integer matrix W (permuted in place).
 
     Builds W L = L H a column at a time, L unit lower triangular and H upper Hessenberg
     (left-looking Gaussian similarity).  Column k of H is W l_k forward-substituted
     against L's rows 0..k; the residual below row k gives h_(k+1,k), its pivot row
     (swapped into row k + 1 of W, L and the residual) and l_(k+1), or l_(k+1) = e_(k+1)
     and h_(k+1,k) = 0 when it is zero.  Every entry is one dot product reduced once, and
-    the n^3/2 products in the W l_k take W's entries as given.  Cohen's Alg. 2.2.9
-    reads det(xI - H) off each new column.
+    the n^3/2 products in the W l_k take W's entries as given.  Cohen's Alg. 2.2.9 reads
+    det(xI - H) off each new column; only the h_(k+1,k) are inverted, and pow raises
+    ValueError on one that is not a unit mod m, so every result returned is exact mod m.
     """
     n = len(w)
     lrows, sub, lk, polys = [[]] + [[0] for _ in range(1, n)], [], [1], [[1]]
     for k in range(n):
         wl, h = [sum(map(operator.mul, row[k:], lk)) for row in w], []
         for a in range(k + 1):  # lrows[i] holds l_0[i], l_1[i], ... below L's diagonal
-            h.append((wl[a] - sum(map(operator.mul, h, lrows[a]))) % p)
-        res = [(wl[j] - sum(map(operator.mul, h, lrows[j]))) % p for j in range(k + 1, n)]
+            h.append((wl[a] - sum(map(operator.mul, h, lrows[a]))) % m)
+        res = [(wl[j] - sum(map(operator.mul, h, lrows[j]))) % m for j in range(k + 1, n)]
         acc, t = [a - h[k] * b for a, b in zip([0] + polys[k], polys[k] + [0])], 1
         for i in range(k - 1, -1, -1):
-            t = t * sub[i] % p
-            f = t * h[i] % p
+            t = t * sub[i] % m
+            f = t * h[i] % m
             acc[:i + 1] = [a - f * b for a, b in zip(acc, polys[i])]
-        polys.append([a % p for a in acc])
+        polys.append([a % m for a in acc])
         if res:
             j = k + 1
             if not res[0] and any(res):
@@ -218,24 +211,39 @@ def _charpoly_mod(w, p: int) -> list[int]:
                 for row in w:
                     row[j], row[j + i] = row[j + i], row[j]
                 res[0], res[i] = res[i], res[0]
-            inv = pow(res[0], -1, p) if res[0] else 0  # a zero residual: l_(k+1) = e_(k+1)
+            inv = pow(res[0], -1, m) if res[0] else 0  # a zero residual: l_(k+1) = e_(k+1)
             sub.append(res[0])  # h_(k+1,k)
-            lk = [1] + [x * inv % p for x in res[1:]]
+            lk = [1] + [x * inv % m for x in res[1:]]
             for row, x in zip(lrows[j + 1:], lk[1:]):
                 row.append(x)
     return polys[n]
 
 
-def _hadamard_prime(v: SeifertMatrix) -> tuple[int, int]:
-    """(B, p): B = prod_i (|row_i V| + |col_i V|) bounds each coefficient of det(V - tV^T)
-    (Hadamard on |t| = 1, then Cauchy); p > 2B is the narrowest tabled prime, else ValueError."""
+def _hadamard_bound(v: SeifertMatrix) -> int:
+    """B = prod_i (|row_i V| + |col_i V|), each norm rounded up, bounds each coefficient of
+    det(V - tV^T): Hadamard on |t| = 1, then Cauchy."""
     rows = v.entries
-    bound = math.prod(math.isqrt(sum(x * x for x in r)) + math.isqrt(sum(x * x for x in c)) + 2
-                      for r, c in zip(rows, zip(*rows)))
-    primes = itertools.chain(_PRIMES, ((1 << e) - 1 for e in _MERSENNE_WIDE))  # lazily
-    if (p := next((p for p in primes if p > 2 * bound), None)) is None:
-        raise ValueError(f"Delta at n = {v.n} needs a prime above 2^{(2 * bound).bit_length()}")
-    return bound, p
+    return math.prod(math.isqrt(sum(x * x for x in r)) + math.isqrt(sum(x * x for x in c)) + 2
+                     for r, c in zip(rows, zip(*rows)))
+
+
+def _delta_mod(v: SeifertMatrix, m: int) -> list[int] | None:
+    """det(V - tV^T) mod the odd m, ascending, or None when a pivot is not a unit mod m."""
+    aug, n = [[x % m for x in (*a, *r)] for a, r in zip(v.pencil(1), v.entries)], v.n
+    try:  # pow raises ValueError on a pivot that is not a unit
+        for k in range(n):  # Gauss-Jordan on [A | V], dropping each used pivot column
+            piv = next(i for i in range(k, n) if aug[i][0])
+            aug[k], aug[piv] = aug[piv], aug[k]
+            inv = pow(aug[k][0], -1, m)
+            rk = [x * inv % m for x in aug[k][1:]]
+            aug = [rk if i == k else [(x - r[0] * y) % m for x, y in zip(r[1:], rk)]
+                   if r[0] else r[1:] for i, r in enumerate(aug)]
+        d, aug = [], [[x - m if 2 * x > m else x for x in r] for r in aug]  # W's small entries
+        for ck in _charpoly_mod(aug, m):  # S_k = (t - 1) S_(k-1) + c_k t^k
+            d = [(a - b) % m for a, b in zip([0] + d, d + [-ck])]
+    except ValueError:
+        return None
+    return d
 
 
 def alexander(v: SeifertMatrix) -> LaurentPoly:
@@ -243,24 +251,17 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
 
     A = V - V^T is skew and unimodular, so det A = 1 and A^-1 is integral.  With W = A^-1 V,
     D(t) = det(V - tV^T) = det((1 - t)W + tI) = sum c_k t^k (t - 1)^(n-k) for det(xI - W) =
-    sum c_k x^k, read in one residue pass modulo _hadamard_prime's p > 2B.  W's residues go
-    to the kernel in (-p/2, p/2], where they are W's own small entries, so its matrix-vector
-    products multiply small integers by residues.
+    sum c_k x^k, read in one residue pass modulo an odd m > 2B (B of _hadamard_bound): D's
+    coefficients, at most B in size, are their centered residues, and the pass is exact over
+    Z/m when every pivot it inverts is a unit.  m is the first odd number from max(2B + 1,
+    1009) coprime to 999! at which they are; a prime always qualifies (det A = 1), so one is
+    found.  W goes to the kernel in (-m/2, m/2], where its residues are its own small entries.
     """
     if v._delta is None:
-        rows, n, p = v.entries, v.n, _hadamard_prime(v)[1]
-        aug = [[x % p for x in (*a, *r)] for a, r in zip(v.pencil(1), rows)]
-        for k in range(n):  # Gauss-Jordan on [A | V], dropping each used pivot column
-            piv = next(i for i in range(k, n) if aug[i][0])
-            aug[k], aug[piv] = aug[piv], aug[k]
-            inv = pow(aug[k][0], -1, p)
-            rk = [x * inv % p for x in aug[k][1:]]
-            aug = [rk if i == k else [(x - r[0] * y) % p for x, y in zip(r[1:], rk)]
-                   if r[0] else r[1:] for i, r in enumerate(aug)]
-        d, aug = [], [[x - p if 2 * x > p else x for x in r] for r in aug]  # W's small entries
-        for ck in _charpoly_mod(aug, p):  # S_k = (t - 1) S_(k-1) + c_k t^k
-            d = [(a - b) % p for a, b in zip([0] + d, d + [-ck])]
-        v._delta = LaurentPoly({k - n // 2: x - p if 2 * x > p else x for k, x in enumerate(d)})
+        m = max(2 * _hadamard_bound(v) + 1, 1009)
+        while math.gcd(m, _SMALL) > 1 or (d := _delta_mod(v, m)) is None:
+            m += 2
+        v._delta = LaurentPoly({k - v.n // 2: x - m if 2 * x > m else x for k, x in enumerate(d)})
         assert v._delta.at_pm1(1) == 1, "Delta(1) = det(V - V^T) must be 1"
     return v._delta
 
@@ -287,7 +288,7 @@ def is_alexander_of(v: SeifertMatrix, delta: LaurentPoly) -> bool:
     """Whether the nonzero delta is det(V - tV^T) = D(t) up to a unit +/-t^k, decided exactly.
 
     Delta_c (delta centered, Delta_c(1) = 1) must span at most n = 2h; then D - t^h Delta_c has
-    coefficients below t0 - 1 = B + C + 1 (B of _hadamard_prime, C of delta), so by Cauchy's root
+    coefficients below t0 - 1 = B + C + 1 (B of _hadamard_bound, C of delta), so by Cauchy's root
     bound it is 0 iff it vanishes at t0.  A match memoizes Delta_c as alexander(v).
     """
     cs, h = delta.coeffs, v.n // 2
@@ -295,7 +296,7 @@ def is_alexander_of(v: SeifertMatrix, delta: LaurentPoly) -> bool:
         return False
     mid, sign = (min(cs) + max(cs)) // 2, 1 if delta.at_pm1(1) > 0 else -1
     centered = LaurentPoly({e - mid: sign * c for e, c in cs.items()})
-    t0 = _hadamard_prime(v)[0] + max(map(abs, cs.values())) + 2  # raises as alexander does
+    t0 = _hadamard_bound(v) + max(map(abs, cs.values())) + 2
     if same := _det_int(v.pencil(t0)) == sum(c * t0 ** (e + h) for e, c in centered.coeffs.items()):
         v._delta = centered
     return same

@@ -478,15 +478,17 @@ def test_exact_rational_output(capsys):
     assert "1/2" in out and "." not in out.replace("...", "")
 
 
-@pytest.mark.parametrize("value", ["1_0", "1/2_0", "\u0661/\u0662"],
-                         ids=["underscore", "underscore-in-denominator", "arabic-indic-digits"])
+@pytest.mark.parametrize("value", ["1_0", "1/2_0", "\u0661/\u0662", "+1/2", " 1/2 "],
+                         ids=["underscore", "underscore-in-denominator", "arabic-indic-digits",
+                              "plus-sign", "blanks"])
 @pytest.mark.parametrize("argv", [
     ["cobordism", "--from-upsilon", "{v}", "--to-upsilon", "0", "--euler", "0"],
     ["euler-range", "--upsilon", "{v}", "--q", "1"],
     ["invariants", "4_1", "--omega", "{v}"],
 ], ids=["from-upsilon", "upsilon", "omega"])
 def test_a_rational_is_read_only_from_ascii_without_underscores(capsys, argv, value):
-    # Fraction alone would read 1_0 as 10, 1/2_0 as 1/20 and Arabic-Indic digits as 1/2
+    # Fraction alone would read 1_0 as 10, 1/2_0 as 1/20, Arabic-Indic digits as 1/2, and
+    # skip a plus sign and blanks
     argv = [value if a == "{v}" else a for a in argv]
     assert run(capsys, *argv) == (2, "", f"error: cannot interpret {value!r} as a rational\n")
 
@@ -495,6 +497,45 @@ def test_a_decimal_rational_is_exact(capsys):
     code, out, _ = run(capsys, "cobordism", "--from-upsilon", "1.5", "--to-upsilon", "0",
                        "--euler", "0", "--json")
     assert code == 0 and json.loads(out)["upsilon_start"] == "3/2"
+
+
+# each integer option, by a command line that ends in it
+INT_OPTIONS = {
+    "whitehead --twist": ["whitehead", "--clasp", "+", "--companion", "unknot", "--twist"],
+    "whitehead --framing": ["whitehead", "--clasp", "+", "--twist", "1", "--companion",
+                            "unknot", "--framing"],
+    "cable-bounds --p": ["cable-bounds", "--q", "1", "--zero", "--p"],
+    "cable-bounds --q": ["cable-bounds", "--p", "2", "--zero", "--q"],
+    "cobordism --euler": ["cobordism", "--from-upsilon", "0", "--to-upsilon", "0", "--euler"],
+    "cobordism --betti": ["cobordism", "--from-upsilon", "0", "--to-upsilon", "0", "--euler",
+                          "0", "--betti"],
+    "euler-range --q": ["euler-range", "--upsilon", "0", "--q"],
+}
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "+2", "1.0"],
+                         ids=["underscore", "arabic-indic-digit", "plus-sign", "decimal"])
+@pytest.mark.parametrize("option", INT_OPTIONS)
+def test_an_integer_option_is_read_as_a_json_integer(capsys, option, value):
+    # int() would read 1_0 as 10, the Arabic-Indic 3 as 3 and +2 as 2; argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        main([*INT_OPTIONS[option], value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(f"error: argument {option.split()[1]}: invalid int value: {value!r}\n")
+    assert main([*INT_OPTIONS[option], "3"]) == 0
+    capsys.readouterr()
+
+
+def test_negative_integers_and_decimal_rationals_still_read(capsys):
+    code, out, _ = run(capsys, "whitehead", "--clasp", "+", "--twist", "-2", "--companion",
+                       "unknot", "--json")
+    assert code == 0 and json.loads(out)["effective_twist"] == -2
+    code, out, _ = run(capsys, "cobordism", "--from-upsilon", "1.5", "--to-upsilon=-1/2",
+                       "--euler", "-2", "--json")
+    doc = json.loads(out)
+    assert code == 0 and (doc["upsilon_start"], doc["upsilon_end"], doc["euler"]) == (
+        "3/2", "-1/2", -2)
 
 
 TREFOIL = {"n": 2, "entries": [[-1, 1], [0, -1]]}  # a valid matrix file

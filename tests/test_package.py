@@ -1,5 +1,7 @@
-"""The package's public names: each loads its submodule on first access."""
+"""The package's public names, each loading its submodule on first access, and its
+documented library use."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 import slicegate
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(slicegate.__file__)))
+README = os.path.join(os.path.dirname(SRC), "README.md")
 
 # every name the package exports, by the submodule that defines it
 PUBLIC = {
@@ -65,3 +68,46 @@ def test_import_slicegate_loads_no_submodule():
     assert proc.returncode == 0, proc.stderr
     # a submodule is still an attribute of the package, loaded on first access
     assert proc.stdout.split("\n") == ["[]", "True", ""]
+
+
+def test_readme_library_block_runs_and_its_values_hold():
+    # each line that ends in a "# value" comment shows the value of its expression
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## Library use", 1)[1].split("```python", 1)[1].split("```")[0]
+    namespace, shown = {}, []
+    exec(block, namespace)
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if comment and isinstance(ast.parse(code.strip()).body[0], ast.Expr):
+            value = eval(code, namespace)
+            shown.append(", ".join(map(str, value)) if isinstance(value, tuple) else str(value))
+            assert shown[-1] == comment.split(":")[0].strip(), line
+    assert shown == ["0, -t + 3 - t^-1", "False", "[2, 2]"]
+
+
+VALUES = {  # a fresh value, and its repr; a store is mutable, so it has no hash or repr
+    "LaurentPoly": (lambda: slicegate.LaurentPoly({1: -1, 0: 3, -1: -1}),
+                    "LaurentPoly('-t + 3 - t^-1')"),
+    "PLFunction": (lambda: slicegate.PLFunction([(0, 0), (1, -1), (2, 0)]),
+                   "PLFunction([(0, 0), (1, -1), (2, 0)])"),
+    "SeifertMatrix": (lambda: slicegate.SeifertMatrix([[1, 1], [0, -1]]),
+                      "SeifertMatrix([[1, 1], [0, -1]])"),
+    "KnotStore": (lambda: slicegate.seed_table(), None),
+}
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_values_compare_hash_and_repr_by_value(kind):
+    make, text = VALUES[kind]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert not a == object() and a != "4_1"  # no other type compares equal
+    if text is None:
+        with pytest.raises(TypeError):
+            hash(a)
+        assert "4_1" in a and "5_2" not in a
+    else:
+        assert hash(a) == hash(b) and len({a, b}) == 1 and repr(a) == text
+    if kind == "LaurentPoly":  # an int is the constant polynomial
+        P = slicegate.LaurentPoly
+        assert P({0: 3}) == 3 and P({}) == 0 and P({0: 3}) != 2 and a != 3

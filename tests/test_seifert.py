@@ -445,133 +445,110 @@ def test_alexander_matches_full_interpolation_oracle():
         assert delta.at_pm1(-1) in (determinant(v), -determinant(v))
 
 
-def miller_rabin(p, bases):
-    """True when the odd p > bases[-1] is a strong probable prime to every base."""
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in bases:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_alexander_moduli_are_primes():
-    # the table ascends; Lucas-Lehmer on every Mersenne modulus up to 2^4423 - 1
-    # (the larger exponents are further terms of the known list, OEIS A000043, too
-    # slow to check here); Miller-Rabin to the first 20 prime bases on the others,
-    # each 2^e - k from 2^255 on, and up to 2^1024 k is the least odd that passes it
-    single = _seifert._PRIMES
-    assert list(single) == sorted(single) and single[-1] < 2 ** _seifert._MERSENNE_WIDE[0] - 1
-    assert list(_seifert._MERSENNE_WIDE) == sorted(_seifert._MERSENNE_WIDE)
-    exponents = {p.bit_length() for p in single if p & (p + 1) == 0}
-    exponents |= set(_seifert._MERSENNE_WIDE)
-    assert {13, 61, 127, 521, 607, 1279, 2203, 2281} <= exponents
-    for e in sorted(e for e in exponents if e <= 4423):
-        s, p = 4, (1 << e) - 1
-        for _ in range(e - 2):
-            s = (s * s - 2) % p
-        assert s == 0, e
-    bases = [q for q in range(2, 72) if all(q % d for d in range(2, q))]
-    assert len(bases) == 20
-    others = {p.bit_length(): p for p in single if p & (p + 1)}
-    # 2^512 and 2^1280 are left out, next to 2^521 - 1 and 2^1279 - 1
-    assert set(others) == {192, 224, 255} | set(range(384, 2049, 128)) - {512, 1280}
-    assert others[192] == 2**192 - 2**64 - 1 and others[224] == 2**224 - 2**96 + 1
-    small = math.prod(q for q in range(3, 1000, 2) if all(q % d for d in range(3, q, 2)))
-    for e, p in others.items():
-        assert miller_rabin(p, bases), p
-        if 255 <= e <= 1024:  # no 2^e - j with j odd, j < k passes (wider takes seconds)
-            assert not any(math.gcd(c, small) == 1 and miller_rabin(c, bases)
-                           for c in range((1 << e) - 1, p, -2)), e
-    assert others[255] == 2**255 - 19
-    assert not miller_rabin(2**192 - 2**64 + 1, bases)  # the test rejects a composite
-
-
 def hadamard_bound(entries):
     """prod_i (isqrt(|row_i V|^2) + isqrt(|col_i V|^2) + 2), the bound B alexander sizes by."""
     return math.prod(math.isqrt(sum(x * x for x in r)) + math.isqrt(sum(x * x for x in c)) + 2
                      for r, c in zip(entries, zip(*entries)))
 
 
-# (n, bound, prime) with 2B in the window of prime; at n = 8 entries of up to 2^j
-# reach each prime past 2^384 - 317, and 2^2281 - 1 is the first wide Mersenne prime
-WINDOW_CASES = [(32, 5, 2**192 - 2**64 - 1), (40, 5, 2**224 - 2**96 + 1), (40, 7, 2**255 - 19),
-                (32, 50, 2**384 - 317)] + [(8, 2**j, (1 << e) - k) for j, e, k in (
-                    (47, 521, 1), (64, 607, 1), (75, 640, 305), (79, 768, 825), (95, 896, 213),
-                    (111, 1024, 105), (127, 1152, 927), (143, 1279, 1), (158, 1408, 413),
-                    (175, 1536, 3453), (191, 1664, 1233), (207, 1792, 963), (223, 1920, 1503),
-                    (239, 2048, 1557), (255, 2203, 1), (274, 2281, 1))]
+def admissible(m):
+    """Whether alexander may read Delta modulo m: m odd, at least 1009, coprime to 999!."""
+    return m % 2 == 1 and m >= 1009 and math.gcd(m, math.factorial(999)) == 1
 
 
-@pytest.mark.parametrize("n, bound, prime", WINDOW_CASES, ids=["p192", "p224", "p25519"] + [
-    f"p{p.bit_length()}" for _, _, p in WINDOW_CASES[3:]])
-def test_alexander_one_modulus_in_each_prime_window(monkeypatch, n, bound, prime):
-    # 2B lies above every narrower prime and below this one, so one residue pass serves
+# (n, bound, e) with 2^e' <= 2B < 2^e, e' the e of the case before (127 for the first), so
+# 2B lands in each window between the widths 127 < e <= 2281 of primes 2^e - k, k small,
+# from 166 to 2,208 bits; at n = 8 entries of up to 2^j set its width.  Ids name e
+WINDOW_CASES = [(32, 5, 192), (40, 5, 224), (40, 7, 255), (32, 50, 384)] + [
+    (8, 2**j, e) for j, e in ((47, 521), (64, 607), (75, 640), (79, 768), (95, 896), (111, 1024),
+                              (127, 1152), (143, 1279), (158, 1408), (175, 1536), (191, 1664),
+                              (207, 1792), (223, 1920), (239, 2048), (255, 2203), (274, 2281))]
+
+
+@pytest.mark.parametrize("n, bound, e", WINDOW_CASES, ids=["p192", "p224", "p25519"] + [
+    f"p{e}" for _, _, e in WINDOW_CASES[3:]])
+def test_alexander_one_modulus_in_each_prime_window(monkeypatch, n, bound, e):
+    # one residue pass, modulo the first odd m > 2B that is at least 1009 and coprime to 999!
     entries = make_valid_seifert(random.Random(n * 100 + bound), n, bound=bound)
-    narrower = [p for p in _seifert._PRIMES if p < prime]
-    assert max(narrower) <= 2 * hadamard_bound(entries) < prime
+    two_b = 2 * hadamard_bound(entries)
+    below = dict(zip([e for _, _, e in WINDOW_CASES], [127] + [e for _, _, e in WINDOW_CASES]))
+    assert below[e] < two_b.bit_length() <= e
     moduli = []
 
-    def counted(h, p, _kernel=_seifert._charpoly_mod):
-        moduli.append(p)
-        return _kernel(h, p)
+    def counted(h, m, _kernel=_seifert._charpoly_mod):
+        moduli.append(m)
+        return _kernel(h, m)
 
     monkeypatch.setattr(_seifert, "_charpoly_mod", counted)
     assert alexander(SeifertMatrix(entries)) == alexander_full(entries)
-    assert moduli == [prime]
+    [m] = moduli
+    assert admissible(m) and m > two_b
+    assert not any(admissible(c) for c in range(two_b + 1, m, 2))
 
 
-def test_alexander_past_the_widest_prime_raises_value_error(monkeypatch, tmp_path, capsys):
-    # a short table that a 4 x 4 matrix with entries up to 100 overflows: the error
-    # names n, and the CLI prints one error line and exits 2, with no traceback.
-    # Entries up to 4 still fit, modulo the wide 2^17 - 1
-    monkeypatch.setattr(_seifert, "_PRIMES", (2**13 - 1,))
-    monkeypatch.setattr(_seifert, "_MERSENNE_WIDE", (17, 19))
-    fits = make_valid_seifert(random.Random(4), 4, bound=4)
-    assert 2**13 - 1 < 2 * hadamard_bound(fits) < 2**17 - 1
-    assert alexander(SeifertMatrix(fits)) == alexander_full(fits)
+def test_alexander_has_no_size_cap(tmp_path, capsys):
+    # K, 4 x 4 with entries up to 100, and K # -K: the oracle's Delta, exit 0 from invariants
+    # and obstruct on a matrix file, and a store record with a stored Delta that loads when
+    # it is right and fails with the mismatch line, as any record does, when it is wrong
     entries = make_valid_seifert(random.Random(4), 4, bound=100)
-    assert 2 * hadamard_bound(entries) > 2**19 - 1
-    with pytest.raises(ValueError, match="n = 4"):
-        alexander(SeifertMatrix(entries))
-    # K # -K has an odd-square determinant, so obstruct reads its Delta and exits 2;
-    # K's determinant is not a square, so obstruct reads no Delta and reports
     mirror = [[-x for x in c] for c in zip(*entries)]
     assert math.isqrt(det := determinant(SeifertMatrix(entries))) ** 2 != det
-    for name, matrix, obstruct_code in (("m4", entries, 0),
-                                        ("m8", direct_sum(entries, mirror), 2)):
-        n = len(matrix)
+    # K's determinant is not a square, so Fox-Milnor fails; K # -K's is, and it passes
+    for name, matrix, slice_ in (("m4", entries, "no"),
+                                 ("m8", direct_sum(entries, mirror), "unknown")):
+        delta = alexander_full(matrix)
+        assert alexander(SeifertMatrix(matrix)) == delta
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"n": n, "entries": matrix}), encoding="utf-8")
-        for argv, code in ((["invariants", "--matrix-file", str(path)], 2),
-                           (["obstruct", "--matrix-file", str(path), "--json"], obstruct_code)):
-            assert main(argv) == code, argv
-            out, err = capsys.readouterr()
-            if code == 2:
-                assert out == "" and err.count("\n") == 1, (argv, err)
-                assert err.startswith("error: ") and f"n = {n}" in err and "Traceback" not in err
-            else:
-                report = json.loads(out)
-                assert err == "" and report["verdict"]["topologically_slice"] == "no", report
-    # a store record with the matrix and a stored Delta, right or wrong, fails to load with
-    # alexander's error line: the check needs the same bound, so it starts no determinant
-    with pytest.raises(ValueError) as exc:
-        alexander(SeifertMatrix(entries))
+        path.write_text(json.dumps({"n": len(matrix), "entries": matrix}), encoding="utf-8")
+        assert main(["invariants", "--matrix-file", str(path), "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["alexander"] == delta.to_terms()
+        assert main(["obstruct", "--matrix-file", str(path), "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["verdict"]["topologically_slice"] == slice_
     path = tmp_path / "store.json"
-    for delta in (alexander_full(entries), LaurentPoly.one()):
+    for stored in (alexander_full(entries), LaurentPoly.one()):
         record = {"name": "k", "seifert_matrix": {"n": 4, "entries": entries},
-                  "alexander": delta.to_terms()}
+                  "alexander": stored.to_terms()}
         path.write_text(json.dumps({"format_version": 1, "records": [record]}), encoding="utf-8")
-        assert main(["obstruct", "--all", "--store", str(path)]) == 2
-        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+        code = main(["obstruct", "--all", "--store", str(path)])
+        out, err = capsys.readouterr()
+        if stored == alexander_full(entries):
+            assert code == 0 and err == "" and "k" in out
+        else:
+            assert code == 2 and out == "" and err == (
+                f"error: record 'k': alexander: stored 1 differs from det(V - tV^T) = "
+                f"{alexander_full(entries)} up to units\n")
+
+
+# V - V^T has -1009 as the first pivot of the solve for W, so 1009^3 fails there
+SOLVE_FAILS = [[1, 1009, 1, 0], [0, 1, 0, -1], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("entries, first, kernel_runs", [
+    (SOLVE_FAILS, 1009**3, False),
+    # a residual of the Hessenberg step is a nonzero multiple of 1009 or 1013
+    (make_valid_seifert(random.Random(186), 4, bound=3), 1009 * 1013, True),
+], ids=["solve", "hessenberg"])
+def test_alexander_moves_to_the_next_modulus_past_a_pivot_that_is_no_unit(
+        monkeypatch, entries, first, kernel_runs):
+    # a bound raised to (first - 1) / 2 makes the composite `first` the first candidate
+    passes, kernel = [], []
+    real_pass, real_kernel = _seifert._delta_mod, _seifert._charpoly_mod
+
+    def counted(v, m):
+        passes.append((m, d := real_pass(v, m)))
+        return d
+
+    monkeypatch.setattr(_seifert, "_hadamard_bound", lambda v: (first - 1) // 2)
+    monkeypatch.setattr(_seifert, "_delta_mod", counted)
+    monkeypatch.setattr(_seifert, "_charpoly_mod", lambda w, m: kernel.append(m) or
+                        real_kernel(w, m))
+    assert 2 * hadamard_bound(entries) < first and admissible(first)
+    assert alexander(SeifertMatrix(entries)) == alexander_full(entries)
+    after = next(m for m in range(first + 2, 2 * first, 2) if admissible(m))
+    assert [(m, d is not None) for m, d in passes] == [(first, False), (after, True)]
+    assert kernel == ([first, after] if kernel_runs else [after])
 
 
 def unit_multiples(rng, delta):
